@@ -116,7 +116,7 @@ def decode_sequence(h_stars: Tensor,
     state = DecodeState.zeros(p)
     rows = []
     for t in range(n):
-        state = decode_step(nm.row(h_stars, t), state, p)
+        state = decode_step(nm.gather_rows(h_stars, [t]), state, p)
         rows.append(tag_distribution(state.T, p))
     probs = nm.stack_rows(rows)
     tag_ids = [int(np.argmax(probs.data[t])) for t in range(n)]

@@ -81,9 +81,6 @@ class WordLexicon:
     def get(self, word: str) -> Optional[np.ndarray]:
         return self._vec.get(word)
 
-    def words(self) -> list[str]:
-        return list(self._vec)
-
 
 def load_word_vectors(path) -> WordLexicon:
     """Read the classic text vector format: "<count> <dim>" header, then one
@@ -187,8 +184,7 @@ class EmbedParams:
 
 def char_rows(text: str, vocab: CharVocab, params: EmbedParams) -> Tensor:
     """(n x m) matrix of per-character table rows; gradient reaches the table."""
-    return nm.stack_rows([nm.row(params.char_table, vocab.id_of(c))
-                          for c in text])
+    return nm.gather_rows(params.char_table, vocab.ids(text))
 
 
 def mix_embed(text: str, vocab: CharVocab, lexicon: Optional[WordLexicon],

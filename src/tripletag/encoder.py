@@ -91,13 +91,13 @@ def encode(E: Tensor, p: BiGruParams) -> Tensor:
     h = Tensor(np.zeros((1, d)))
     fwd = []
     for t in range(n):
-        h = gru_step(nm.row(E, t), h, p.forward)
+        h = gru_step(nm.gather_rows(E, [t]), h, p.forward)
         fwd.append(h)
 
     h = Tensor(np.zeros((1, d)))
     bwd: list[Tensor] = [None] * n
     for t in range(n - 1, -1, -1):
-        h = gru_step(nm.row(E, t), h, p.backward)
+        h = gru_step(nm.gather_rows(E, [t]), h, p.backward)
         bwd[t] = h
 
     return nm.concat_cols(nm.stack_rows(fwd), nm.stack_rows(bwd))

@@ -2,7 +2,7 @@
 
 Everything the tagging model needs and nothing more: 2-D float64 tensors,
 a fixed op set (matmul, elementwise add/sub/mul, sigmoid, tanh, row softmax,
-column concat, row stack/slice, transpose, clamped log, sum, scale), gradient
+column concat, row stack/gather, transpose, clamped log, sum, scale), gradient
 accumulation via a recorded graph, the RMSprop update, and a central
 finite-difference oracle for checking all of the above.
 
@@ -13,7 +13,7 @@ broadcasting except adding a (1, d) bias row onto an (n, d) matrix.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -244,18 +244,28 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     return _result(np.vstack([r.data for r in rows]), tuple(rows), backward)
 
 
-def row(a: Tensor, i: int) -> Tensor:
-    """Slice row i of a as a (1,d) tensor."""
-    if not 0 <= i < a.shape[0]:
-        raise DimensionError(f"row: index {i} out of range for shape {a.shape}")
+def gather_rows(a: Tensor, ids: Sequence[int]) -> Tensor:
+    """Rows a[ids] as a (len(ids), d) tensor; ids may repeat.
+
+    The backward scatter-adds into the gathered rows of a.grad only, so its
+    cost is O(len(ids) * d) whatever the size of a.
+    """
+    idx = np.asarray(ids)
+    if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
+        raise DimensionError(
+            f"gather_rows: ids must be a non-empty 1-D integer list, got {ids!r}")
+    listed = idx.tolist()  # Python min/max: cheaper than numpy's on the one-id slices
+    if min(listed) < 0 or max(listed) >= a.shape[0]:
+        raise DimensionError(
+            f"gather_rows: ids out of range [0, {a.shape[0]}): {ids!r}")
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[i, :] = g[0, :]
-            _accumulate(a, full)
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            np.add.at(a.grad, idx, g)
 
-    return _result(a.data[i : i + 1, :].copy(), (a,), backward)
+    return _result(a.data.take(idx, axis=0), (a,), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -375,8 +385,3 @@ def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
 
 def zeros_init(rows: int, cols: int) -> Tensor:
     return Tensor(np.zeros((rows, cols)), requires_grad=True)
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.zero_grad()

@@ -84,9 +84,6 @@ class TagScheme:
         position, relation, role = info
         return f"{position}-{relation}-{role}"
 
-    def is_other(self, tag_id: int) -> bool:
-        return tag_id == 0
-
 
 def build_scheme(relations: Sequence[str]) -> TagScheme:
     rels = tuple(relations)

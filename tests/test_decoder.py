@@ -176,7 +176,7 @@ def test_label_feedback_carries_gradient_across_steps():
         return float((probs.data[1:2] * mask).sum())
 
     _, probs = decode_sequence(Tensor(Hstar), p)
-    nm.backward(nm.sum_all(nm.mul(nm.row(probs, 1), Tensor(mask))))
+    nm.backward(nm.sum_all(nm.mul(nm.gather_rows(probs, [1]), Tensor(mask))))
     for name in ("V_r", "V_z", "V", "W_T"):
         theta = getattr(p, name)
         fd = nm.finite_diff_grad(step2_loss, theta, h=1e-5)

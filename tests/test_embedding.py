@@ -190,6 +190,26 @@ class TestMixEmbed:
             fd = nm.finite_diff_grad(loss, theta, h=1e-5)
             assert nm.relative_error(theta.grad, fd) < 1e-4
 
+    def test_repeated_and_oov_chars_gradient(self):
+        # 'p' three times, 'z' out of vocabulary (UNK row 0); 'r' and 's' absent
+        vocab = CharVocab("pqrs")
+        lx = lex({"pq": [0.3, -0.7], "zp": [1.1, 0.2]})
+        p = self.make(vocab, 2, 3, rng=np.random.default_rng(5))
+        text = "pqpzp"
+        w = np.cos(np.arange(15)).reshape(5, 3)
+
+        def loss():
+            return float((mix_embed(text, vocab, lx, p).data * w).sum())
+
+        out = mix_embed(text, vocab, lx, p)
+        nm.backward(nm.sum_all(nm.mul(out, Tensor(w))))
+        for theta in (p.char_table, p.projection):
+            fd = nm.finite_diff_grad(loss, theta, h=1e-5)
+            assert nm.relative_error(theta.grad, fd) < 1e-4
+        absent = [vocab.id_of("r"), vocab.id_of("s")]
+        np.testing.assert_array_equal(p.char_table.grad[absent], 0.0)
+        assert np.all(p.char_table.grad[[0, 1, 2]] != 0)
+
 
 def test_unk_constant_exported():
     assert embedding.UNK == "<unk>"

@@ -74,8 +74,8 @@ class TestEncode:
         E = Tensor(rng.uniform(-1, 1, (1, 4)))
         out = encode(E, p)
         zero = Tensor(np.zeros((1, 3)))
-        f = gru_step(nm.row(E, 0), zero, p.forward)
-        b = gru_step(nm.row(E, 0), zero, p.backward)
+        f = gru_step(nm.gather_rows(E, [0]), zero, p.forward)
+        b = gru_step(nm.gather_rows(E, [0]), zero, p.backward)
         np.testing.assert_allclose(out.data, np.hstack([f.data, b.data]),
                                    atol=1e-15)
 

@@ -130,7 +130,29 @@ class TestConcatAndStack:
         stacked = nm.stack_rows(rows)
         assert stacked.shape == (4, 2)
         for i, r in enumerate(rows):
-            np.testing.assert_array_equal(nm.row(stacked, i).data, r.data)
+            np.testing.assert_array_equal(nm.gather_rows(stacked, [i]).data, r.data)
+
+
+class TestGatherRows:
+    @pytest.mark.parametrize("ids", [[], [-1], [3], np.zeros((1, 1), dtype=int), [0.5]],
+                             ids=["empty", "negative", "rows", "2-D", "float"])
+    def test_bad_ids_rejected(self, ids):
+        with pytest.raises(nm.DimensionError):
+            nm.gather_rows(Tensor(np.zeros((3, 2)), requires_grad=True), ids)
+
+    def test_gradient_accumulates_into_an_op_output(self):
+        # y is an op output, so its grad starts as None, not as zeros
+        x = Tensor(np.random.default_rng(7).uniform(-1, 1, (3, 4)),
+                   requires_grad=True)
+        y = nm.scale(x, 2.0)
+        assert y.grad is None
+        w = np.cos(np.arange(12)).reshape(3, 4)
+        nm.backward(nm.sum_all(nm.mul(nm.gather_rows(y, [2, 0, 2]), Tensor(w))))
+        want = np.zeros((3, 4))
+        want[2] = w[0] + w[2]
+        want[0] = w[1]
+        np.testing.assert_array_equal(y.grad, want)
+        np.testing.assert_array_equal(x.grad, 2.0 * want)
 
 
 class TestBackward:
@@ -214,7 +236,7 @@ OP_CASES = {
     "softmax_rows": (lambda a: nm.softmax_rows(a), [(3, 5)]),
     "concat_cols": (lambda a, b: nm.concat_cols(a, b), [(3, 2), (3, 4)]),
     "transpose": (lambda a: nm.transpose(a), [(3, 4)]),
-    "row": (lambda a: nm.row(a, 1), [(3, 4)]),
+    "gather_rows": (lambda a: nm.gather_rows(a, [1, 0, 1]), [(3, 4)]),
     "stack_rows": (lambda a, b, c: nm.stack_rows([a, b, c]),
                    [(1, 4), (1, 4), (1, 4)]),
     "sum_all": (lambda a: nm.sum_all(a), [(3, 4)]),
