@@ -6,6 +6,11 @@ representation T. T is a tanh map of the hidden state and feeds the next
 step, so label information flows across time differentiably; the same
 procedure runs at training and inference (no teacher forcing). A softmax
 over a linear map of T yields the per-character tag distribution.
+
+The whole recurrence is one autodiff node, `label_feedback_sequence`: the
+encoder's `GruCell` with the label-feedback term added to its gates, and a
+hand-written backpropagation through time. The tag distribution is then one
+matmul and one softmax over all n label rows.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
+from .encoder import GruCell
 from .numerics import Tensor
 
 
@@ -67,38 +73,50 @@ class DecoderParams:
         return self.W_Y.shape[1]
 
 
-@dataclass
-class DecodeState:
-    h: Tensor  # (1, d_dec)
-    T: Tensor  # (1, tau), entries in (-1, 1)
+def label_feedback_sequence(h_stars: Tensor, p: DecoderParams) -> Tensor:
+    """(n x d_v) inputs -> (n x tau) label rows T_1..T_n, as a single autodiff
+    node.
 
-    @classmethod
-    def zeros(cls, p: DecoderParams) -> "DecodeState":
-        return cls(h=Tensor(np.zeros((1, p.hidden_size))),
-                   T=Tensor(np.zeros((1, p.label_width))))
+    Step t runs the encoder's GRU cell on x_t with T_{t-1} [V_z|V_r|V] added
+    to the gate pre-activations, then sets T_t = tanh(h_t W_T + b_T); h_0 and
+    T_0 are zero. Raises DimensionError (a ValueError) for an empty input or
+    a width that does not match W_*.
+    """
+    cell = GruCell(p)
+    A = cell.inputs(h_stars)
+    n, d, tau = h_stars.shape[0], cell.d, p.label_width
+    V = np.hstack([p.V_z.data, p.V_r.data, p.V.data])
+    W_T, b_T = p.W_T.data, p.b_T.data[0]
+    H = np.zeros((n + 1, d))  # H[t], T[t] are what step t reads
+    T = np.zeros((n + 1, tau))
+    G = np.empty((n, 3 * d))
+    for t in range(n):
+        H[t + 1] = cell.step(A[t] + T[t] @ V, H[t], G[t])
+        T[t + 1] = np.tanh(H[t + 1] @ W_T + b_T)
 
+    def backward(g: np.ndarray) -> None:
+        S = cell.slopes(H[:-1], G)
+        DT = 1.0 - T[1:] * T[1:]  # tanh slopes, then the T pre-activation grads
+        DA = np.empty((n, 3 * d))
+        dh = np.zeros(d)
+        dT = np.zeros(tau)  # T_t's gradient through the gates of step t+1
+        for t in range(n - 1, -1, -1):
+            DT[t] *= g[t] + dT
+            dh = cell.step_back(dh + DT[t] @ W_T.T, S[t], DA[t])
+            dT = DA[t] @ V.T
+        cell.accumulate_grads(h_stars, H[:-1], G, DA)
+        grads = (*np.hsplit(T[:-1].T @ DA, 3), H[1:].T @ DT,
+                 DT.sum(axis=0, keepdims=True))
+        for theta, grad in zip((p.V_z, p.V_r, p.V, p.W_T, p.b_T), grads):
+            if theta.requires_grad:
+                nm.accumulate(theta, grad)
 
-def _gate(x: Tensor, h: Tensor, T: Tensor, W: Tensor, U: Tensor, V: Tensor,
-          b: Tensor) -> Tensor:
-    return nm.add(nm.add(nm.add(nm.matmul(x, W), nm.matmul(h, U)),
-                         nm.matmul(T, V)), b)
-
-
-def decode_step(h_star: Tensor, state: DecodeState,
-                p: DecoderParams) -> DecodeState:
-    """One decoding recurrence; the reset gate damps the prior hidden state."""
-    r = nm.sigmoid(_gate(h_star, state.h, state.T, p.W_r, p.U_r, p.V_r, p.b_r))
-    z = nm.sigmoid(_gate(h_star, state.h, state.T, p.W_z, p.U_z, p.V_z, p.b_z))
-    h_cand = nm.tanh(_gate(h_star, nm.mul(r, state.h), state.T,
-                           p.W, p.U, p.V, p.b))
-    ones = Tensor(np.ones(z.shape))
-    h_new = nm.add(nm.mul(nm.sub(ones, z), state.h), nm.mul(z, h_cand))
-    T_new = nm.tanh(nm.add(nm.matmul(h_new, p.W_T), p.b_T))
-    return DecodeState(h=h_new, T=T_new)
+    return nm.result(T[1:], (h_stars, *cell.tensors, p.V_z, p.V_r, p.V,
+                             p.W_T, p.b_T), backward)
 
 
 def tag_distribution(T: Tensor, p: DecoderParams) -> Tensor:
-    """(1, k) probability row: softmax of the linear tag logits."""
+    """(n, k) probability rows: softmax of the linear tag logits of each T row."""
     return nm.softmax_rows(nm.add(nm.matmul(T, p.W_Y), p.b_Y))
 
 
@@ -108,16 +126,8 @@ def decode_sequence(h_stars: Tensor,
 
     The continuous T of each step feeds the next (never a discretized label).
     Returns argmax tag ids (ties to the lowest id) and the (n x k)
-    probability matrix, which stays differentiable for the loss.
+    probability matrix, which stays differentiable for the loss. An empty
+    input raises DimensionError (a ValueError).
     """
-    n = h_stars.shape[0]
-    if n < 1:
-        raise nm.DimensionError("decode_sequence: empty input")
-    state = DecodeState.zeros(p)
-    rows = []
-    for t in range(n):
-        state = decode_step(nm.gather_rows(h_stars, [t]), state, p)
-        rows.append(tag_distribution(state.T, p))
-    probs = nm.stack_rows(rows)
-    tag_ids = [int(np.argmax(probs.data[t])) for t in range(n)]
-    return tag_ids, probs
+    probs = tag_distribution(label_feedback_sequence(h_stars, p), p)
+    return probs.data.argmax(axis=1).tolist(), probs

@@ -84,52 +84,60 @@ class WordLexicon:
 
 def load_word_vectors(path) -> WordLexicon:
     """Read the classic text vector format: "<count> <dim>" header, then one
-    line per word ("word v1 .. v_dim"). Duplicates keep the last occurrence."""
+    line per word ("word v1 .. v_dim"). Duplicates keep the last occurrence.
+
+    The file is read one line at a time, so only the parsed vectors are held
+    in memory.
+    """
+    vectors: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].strip():
+        header_line = fh.readline().rstrip("\r\n")
+        count, dim = _parse_header(header_line)
+        rows_seen = 0
+        lineno = 1
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            rows_seen += 1
+            if rows_seen > count:
+                raise WordVectorParseError(
+                    f"line {lineno}: more rows than the declared count {count}")
+            parts = line.split()
+            if len(parts) != dim + 1:
+                raise WordVectorParseError(
+                    f"line {lineno}: expected 1 word + {dim} values, "
+                    f"got {len(parts)} fields")
+            word = parts[0]
+            try:
+                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            except ValueError:
+                raise WordVectorParseError(
+                    f"line {lineno}: non-numeric vector component") from None
+            if word in vectors:
+                warnings.warn(f"duplicate word {word!r} at line {lineno}; "
+                              "keeping the last occurrence")
+            vectors[word] = vec
+    if rows_seen < count:
+        raise WordVectorParseError(
+            f"line {lineno}: file ends after {rows_seen} of {count} rows")
+    return WordLexicon(vectors)
+
+
+def _parse_header(line: str) -> tuple[int, int]:
+    """(count, dim) from the first line of a vector file."""
+    if not line.strip():
         raise WordVectorParseError("line 1: missing '<count> <dim>' header")
-    header = lines[0].split()
+    header = line.split()
     if len(header) != 2:
-        raise WordVectorParseError(f"line 1: expected '<count> <dim>', got {lines[0]!r}")
+        raise WordVectorParseError(f"line 1: expected '<count> <dim>', got {line!r}")
     try:
         count, dim = int(header[0]), int(header[1])
     except ValueError:
         raise WordVectorParseError(
-            f"line 1: non-integer header fields {lines[0]!r}") from None
+            f"line 1: non-integer header fields {line!r}") from None
     if count <= 0 or dim <= 0:
-        raise WordVectorParseError(f"line 1: non-positive count/dim {lines[0]!r}")
-
-    body = lines[1:]
-    if len([ln for ln in body if ln.strip()]) < count:
-        raise WordVectorParseError(
-            f"line {len(lines)}: file ends after "
-            f"{len([ln for ln in body if ln.strip()])} of {count} rows")
-    vectors: dict[str, np.ndarray] = {}
-    rows_seen = 0
-    for lineno, line in enumerate(body, start=2):
-        if not line.strip():
-            continue
-        rows_seen += 1
-        if rows_seen > count:
-            raise WordVectorParseError(
-                f"line {lineno}: more rows than the declared count {count}")
-        parts = line.split()
-        if len(parts) != dim + 1:
-            raise WordVectorParseError(
-                f"line {lineno}: expected 1 word + {dim} values, "
-                f"got {len(parts)} fields")
-        word = parts[0]
-        try:
-            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-        except ValueError:
-            raise WordVectorParseError(
-                f"line {lineno}: non-numeric vector component") from None
-        if word in vectors:
-            warnings.warn(f"duplicate word {word!r} at line {lineno}; "
-                          "keeping the last occurrence")
-        vectors[word] = vec
-    return WordLexicon(vectors)
+        raise WordVectorParseError(f"line 1: non-positive count/dim {line!r}")
+    return count, dim
 
 
 @dataclass
@@ -193,8 +201,11 @@ def mix_embed(text: str, vocab: CharVocab, lexicon: Optional[WordLexicon],
 
     The word vector of a k-character segment contributes identically to all k
     rows; segments without a lexicon vector contribute zero. Gradients reach
-    char_table and projection only; lexicon vectors stay fixed.
+    char_table and projection only; lexicon vectors stay fixed. Empty text
+    raises ValueError("text is empty"), as `segment` does.
     """
+    if not text:
+        raise ValueError("text is empty")
     chars = char_rows(text, vocab, params)
     if lexicon is None or params.projection is None:
         return chars

@@ -2,9 +2,14 @@
 
 Everything the tagging model needs and nothing more: 2-D float64 tensors,
 a fixed op set (matmul, elementwise add/sub/mul, sigmoid, tanh, row softmax,
-column concat, row stack/gather, transpose, clamped log, sum, scale), gradient
+column concat, row gather, transpose, clamped log, sum, scale), gradient
 accumulation via a recorded graph, the RMSprop update, and a central
 finite-difference oracle for checking all of the above.
+
+Layers with a fused kernel (the GRU recurrences in ``encoder`` and
+``decoder``) build their own one-node ops from ``result`` and ``accumulate``:
+the kernel computes its output in numpy and hands ``result`` a backward
+closure that accumulates every input's gradient at once.
 
 Conventions: tensors are 2-D; "vectors" are row vectors of shape (1, d).
 Gradients accumulate additively; callers zero them between steps. No
@@ -65,8 +70,13 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(data: np.ndarray, parents: Sequence[Tensor],
-            backward: Callable[[np.ndarray], None]) -> Tensor:
+def result(data: np.ndarray, parents: Sequence[Tensor],
+           backward: Callable[[np.ndarray], None]) -> Tensor:
+    """An op's output tensor; it joins the graph when any parent needs a grad.
+
+    ``backward`` receives the output's gradient and must ``accumulate`` into
+    every parent that requires one.
+    """
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -75,7 +85,8 @@ def _result(data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t.grad, allocating it on first use."""
     if t.grad is None:
         t.grad = g.copy()
     else:
@@ -90,11 +101,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            accumulate(b, a.data.T @ g)
 
-    return _result(out_data, (a, b), backward)
+    return result(out_data, (a, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -109,11 +120,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, g)
+            accumulate(a, g)
         if b.requires_grad:
-            _accumulate(b, g if b.shape == g.shape else g.sum(axis=0, keepdims=True))
+            accumulate(b, g if b.shape == g.shape else g.sum(axis=0, keepdims=True))
 
-    return _result(out_data, (a, b), backward)
+    return result(out_data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -122,11 +133,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, g)
+            accumulate(a, g)
         if b.requires_grad:
-            _accumulate(b, -g)
+            accumulate(b, -g)
 
-    return _result(a.data - b.data, (a, b), backward)
+    return result(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -136,11 +147,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, g * b.data)
+            accumulate(a, g * b.data)
         if b.requires_grad:
-            _accumulate(b, g * a.data)
+            accumulate(b, g * a.data)
 
-    return _result(a.data * b.data, (a, b), backward)
+    return result(a.data * b.data, (a, b), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -149,9 +160,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, g * y * (1.0 - y))
+            accumulate(a, g * y * (1.0 - y))
 
-    return _result(y, (a,), backward)
+    return result(y, (a,), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -159,9 +170,9 @@ def tanh(a: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, g * (1.0 - y * y))
+            accumulate(a, g * (1.0 - y * y))
 
-    return _result(y, (a,), backward)
+    return result(y, (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
@@ -172,9 +183,9 @@ def log(a: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             # zero gradient where the floor is active
-            _accumulate(a, g * (a.data > LOG_FLOOR) / clamped)
+            accumulate(a, g * (a.data > LOG_FLOOR) / clamped)
 
-    return _result(y, (a,), backward)
+    return result(y, (a,), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -183,9 +194,9 @@ def scale(a: Tensor, c: float) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, g * c)
+            accumulate(a, g * c)
 
-    return _result(a.data * c, (a,), backward)
+    return result(a.data * c, (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -193,9 +204,9 @@ def sum_all(a: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, np.full_like(a.data, g.reshape(-1)[0]))
+            accumulate(a, np.full_like(a.data, g.reshape(-1)[0]))
 
-    return _result(np.array([[a.data.sum()]]), (a,), backward)
+    return result(np.array([[a.data.sum()]]), (a,), backward)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -207,9 +218,9 @@ def softmax_rows(a: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             dot = (g * y).sum(axis=1, keepdims=True)
-            _accumulate(a, y * (g - dot))
+            accumulate(a, y * (g - dot))
 
-    return _result(y, (a,), backward)
+    return result(y, (a,), backward)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -220,28 +231,11 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, g[:, :p])
+            accumulate(a, g[:, :p])
         if b.requires_grad:
-            _accumulate(b, g[:, p:])
+            accumulate(b, g[:, p:])
 
-    return _result(np.hstack([a.data, b.data]), (a, b), backward)
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack (1,d) row tensors into an (n,d) matrix."""
-    if not rows:
-        raise DimensionError("stack_rows: empty row list")
-    d = rows[0].shape[1]
-    for r in rows:
-        if r.shape != (1, d):
-            raise DimensionError(f"stack_rows: expected (1,{d}) rows, got {r.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        for i, r in enumerate(rows):
-            if r.requires_grad:
-                _accumulate(r, g[i : i + 1, :])
-
-    return _result(np.vstack([r.data for r in rows]), tuple(rows), backward)
+    return result(np.hstack([a.data, b.data]), (a, b), backward)
 
 
 def gather_rows(a: Tensor, ids: Sequence[int]) -> Tensor:
@@ -265,15 +259,15 @@ def gather_rows(a: Tensor, ids: Sequence[int]) -> Tensor:
                 a.grad = np.zeros_like(a.data)
             np.add.at(a.grad, idx, g)
 
-    return _result(a.data.take(idx, axis=0), (a,), backward)
+    return result(a.data.take(idx, axis=0), (a,), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, g.T)
+            accumulate(a, g.T)
 
-    return _result(a.data.T.copy(), (a,), backward)
+    return result(a.data.T.copy(), (a,), backward)
 
 
 def backward(root: Tensor) -> None:
@@ -302,7 +296,7 @@ def backward(root: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    _accumulate(root, np.ones_like(root.data))
+    accumulate(root, np.ones_like(root.data))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

@@ -1,8 +1,121 @@
-"""Shared test utilities: independent reference decoder and random sentence maker."""
+"""Shared test utilities: straight-line references for the encoder and
+decoder recurrences, per-step autodiff oracles for their fused kernels, an
+independent reference tag decoder and a random sentence maker."""
+
+import dataclasses
 
 import numpy as np
 
+from tripletag import numerics as nm
+from tripletag.numerics import Tensor
 from tripletag.tagging import HEAD, TAIL, Triple
+
+
+def named_tensors(p):
+    """(field name, tensor) for every field of a parameter dataclass."""
+    return [(f.name, getattr(p, f.name)) for f in dataclasses.fields(p)]
+
+
+def np_sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_gru_sequence(E, p):
+    """Straight-line numpy re-implementation of the recurrence."""
+    Wz, Uz, bz = p.W_z.data, p.U_z.data, p.b_z.data
+    Wr, Ur, br = p.W_r.data, p.U_r.data, p.b_r.data
+    W, U, b = p.W.data, p.U.data, p.b.data
+    h = np.zeros((1, p.hidden_size))
+    out = []
+    for t in range(E.shape[0]):
+        w = E[t : t + 1]
+        z = np_sigmoid(w @ Wz + h @ Uz + bz)
+        r = np_sigmoid(w @ Wr + h @ Ur + br)
+        cand = np.tanh(w @ W + (r * h) @ U + b)
+        h = (1.0 - z) * h + z * cand
+        out.append(h[0].copy())
+    return np.array(out)
+
+
+def reference_decode_rollout(Hstar, p):
+    """Straight-line numpy re-implementation of the full decode recurrence."""
+    h = np.zeros((1, p.hidden_size))
+    T = np.zeros((1, p.label_width))
+    states, probs = [], []
+    for t in range(Hstar.shape[0]):
+        x = Hstar[t : t + 1]
+        r = np_sigmoid(x @ p.W_r.data + h @ p.U_r.data + T @ p.V_r.data
+                       + p.b_r.data)
+        z = np_sigmoid(x @ p.W_z.data + h @ p.U_z.data + T @ p.V_z.data
+                       + p.b_z.data)
+        cand = np.tanh(x @ p.W.data + (r * h) @ p.U.data + T @ p.V.data
+                       + p.b.data)
+        h = (1.0 - z) * h + z * cand
+        T = np.tanh(h @ p.W_T.data + p.b_T.data)
+        y = T @ p.W_Y.data + p.b_Y.data
+        e = np.exp(y - y.max())
+        probs.append((e / e.sum())[0])
+        states.append((h[0].copy(), T[0].copy()))
+    return states, np.array(probs)
+
+
+# Per-step autodiff compositions of both recurrences: one small graph per
+# character, built from the numerics ops. They are the gradient oracles for
+# the fused one-node kernels and share no code with them.
+
+def _gate(terms, b):
+    out = nm.matmul(*terms[0])
+    for x, w in terms[1:]:
+        out = nm.add(out, nm.matmul(x, w))
+    return nm.add(out, b)
+
+
+def _gru_update(z, h_prev, cand):
+    ones = Tensor(np.ones(z.shape))
+    return nm.add(nm.mul(nm.sub(ones, z), h_prev), nm.mul(z, cand))
+
+
+def oracle_gru_rows(X, p, reverse=False):
+    """Per-step (1, d) states of one GRU pass over X's rows, in row order;
+    with `reverse` the pass reads the rows last to first."""
+    n = X.shape[0]
+    h = Tensor(np.zeros((1, p.hidden_size)))
+    rows = [None] * n
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        x = nm.gather_rows(X, [t])
+        z = nm.sigmoid(_gate([(x, p.W_z), (h, p.U_z)], p.b_z))
+        r = nm.sigmoid(_gate([(x, p.W_r), (h, p.U_r)], p.b_r))
+        cand = nm.tanh(_gate([(x, p.W), (nm.mul(r, h), p.U)], p.b))
+        h = _gru_update(z, h, cand)
+        rows[t] = h
+    return rows
+
+
+def oracle_decode_rows(h_stars, p):
+    """Per-step (1, d_dec) states, (1, tau) label rows and (1, k) tag
+    probability rows of the label-feedback decoder."""
+    h = Tensor(np.zeros((1, p.hidden_size)))
+    T = Tensor(np.zeros((1, p.label_width)))
+    states, labels, probs = [], [], []
+    for t in range(h_stars.shape[0]):
+        x = nm.gather_rows(h_stars, [t])
+        r = nm.sigmoid(_gate([(x, p.W_r), (h, p.U_r), (T, p.V_r)], p.b_r))
+        z = nm.sigmoid(_gate([(x, p.W_z), (h, p.U_z), (T, p.V_z)], p.b_z))
+        cand = nm.tanh(_gate([(x, p.W), (nm.mul(r, h), p.U), (T, p.V)], p.b))
+        h = _gru_update(z, h, cand)
+        T = nm.tanh(nm.add(nm.matmul(h, p.W_T), p.b_T))
+        states.append(h)
+        labels.append(T)
+        probs.append(nm.softmax_rows(nm.add(nm.matmul(T, p.W_Y), p.b_Y)))
+    return states, labels, probs
+
+
+def weighted_row_sum(rows, weights):
+    """sum_t rows[t] . weights[t] as a (1, 1) tensor, summed step by step."""
+    total = nm.sum_all(nm.mul(rows[0], Tensor(weights[0:1])))
+    for t in range(1, len(rows)):
+        total = nm.add(total, nm.sum_all(nm.mul(rows[t], Tensor(weights[t : t + 1]))))
+    return total
 
 
 def reference_decode(tags, text, scheme):

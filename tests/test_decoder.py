@@ -3,82 +3,62 @@ import math
 import numpy as np
 import pytest
 
+from helpers import named_tensors, reference_decode_rollout
 from tripletag import numerics as nm
 from tripletag.decoder import (
-    DecoderParams, DecodeState, decode_sequence, decode_step, tag_distribution)
+    DecoderParams, decode_sequence, label_feedback_sequence, tag_distribution)
 from tripletag.numerics import Tensor
-
-
-def np_sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def reference_decode_rollout(Hstar, p: DecoderParams):
-    """Straight-line numpy re-implementation of the full decode recurrence."""
-    h = np.zeros((1, p.hidden_size))
-    T = np.zeros((1, p.label_width))
-    states, probs = [], []
-    for t in range(Hstar.shape[0]):
-        x = Hstar[t : t + 1]
-        r = np_sigmoid(x @ p.W_r.data + h @ p.U_r.data + T @ p.V_r.data
-                       + p.b_r.data)
-        z = np_sigmoid(x @ p.W_z.data + h @ p.U_z.data + T @ p.V_z.data
-                       + p.b_z.data)
-        cand = np.tanh(x @ p.W.data + (r * h) @ p.U.data + T @ p.V.data
-                       + p.b.data)
-        h = (1.0 - z) * h + z * cand
-        T = np.tanh(h @ p.W_T.data + p.b_T.data)
-        y = T @ p.W_Y.data + p.b_Y.data
-        e = np.exp(y - y.max())
-        probs.append((e / e.sum())[0])
-        states.append((h[0].copy(), T[0].copy()))
-    return states, np.array(probs)
 
 
 def zero_decoder(d_v=1, d_dec=1, tau=1, k=2):
     p = DecoderParams.init(np.random.default_rng(0), d_v, d_dec, tau, k)
-    for f in ("W_r", "U_r", "V_r", "b_r", "W_z", "U_z", "V_z", "b_z",
-              "W", "U", "V", "b", "W_T", "b_T", "W_Y", "b_Y"):
-        getattr(p, f).data[:] = 0.0
+    for _, t in named_tensors(p):
+        t.data[:] = 0.0
     return p
+
+
+def hidden_states(T, p):
+    """The decoder states behind label rows T = tanh(h W_T + b_T), solved
+    from T; exact up to rounding when W_T has full row rank."""
+    pre = np.arctanh(T) - p.b_T.data
+    return np.linalg.lstsq(p.W_T.data.T, pre.T, rcond=None)[0].T
 
 
 class TestDecodeStep:
     def test_all_zero_params_zero_state(self):
         p = zero_decoder(d_v=2, d_dec=3, tau=3, k=4)
-        state = decode_step(Tensor([[1.0, -1.0]]), DecodeState.zeros(p), p)
-        np.testing.assert_array_equal(state.h.data, np.zeros((1, 3)))
-        np.testing.assert_array_equal(state.T.data, np.zeros((1, 3)))
+        p.W_T.data[:] = np.eye(3)  # T = tanh(h) shows h; V_* = 0 cuts feedback
+        T = label_feedback_sequence(Tensor([[1.0, -1.0]]), p).data
+        np.testing.assert_array_equal(hidden_states(T, p), np.zeros((1, 3)))
+        np.testing.assert_array_equal(T, np.zeros((1, 3)))
 
     def test_scalar_hand_case(self):
         # z=0.5, cand=tanh(1), h=0.5*tanh(1)~0.380797, T=tanh(h)~0.363399
         p = zero_decoder()
         p.W.data[0, 0] = 1.0
         p.W_T.data[0, 0] = 1.0
-        state = decode_step(Tensor([[1.0]]), DecodeState.zeros(p), p)
+        T = label_feedback_sequence(Tensor([[1.0]]), p).data
         h = 0.5 * math.tanh(1.0)
-        assert abs(state.h.item() - h) < 1e-12
-        assert abs(state.h.item() - 0.380797) < 1e-6
-        assert abs(state.T.item() - math.tanh(h)) < 1e-12
-        assert abs(state.T.item() - 0.363399) < 1e-6
+        assert abs(hidden_states(T, p).item() - h) < 1e-12
+        assert abs(hidden_states(T, p).item() - 0.380797) < 1e-6
+        assert abs(T.item() - math.tanh(h)) < 1e-12
+        assert abs(T.item() - 0.363399) < 1e-6
 
     def test_matches_straight_line_reference(self):
         rng = np.random.default_rng(1)
         p = DecoderParams.init(rng, 3, 4, 5, 6)
         Hstar = rng.uniform(-2, 2, (5, 3))
         want_states, _ = reference_decode_rollout(Hstar, p)
-        state = DecodeState.zeros(p)
+        T = label_feedback_sequence(Tensor(Hstar), p).data
+        H = hidden_states(T, p)
         for t in range(5):
-            state = decode_step(Tensor(Hstar[t : t + 1]), state, p)
-            np.testing.assert_allclose(state.h.data[0], want_states[t][0],
-                                       atol=1e-12)
-            np.testing.assert_allclose(state.T.data[0], want_states[t][1],
-                                       atol=1e-12)
+            np.testing.assert_allclose(H[t], want_states[t][0], atol=1e-12)
+            np.testing.assert_allclose(T[t], want_states[t][1], atol=1e-12)
 
     def test_dimension_mismatch(self):
         p = DecoderParams.init(np.random.default_rng(2), 3, 4, 4, 5)
         with pytest.raises(nm.DimensionError):
-            decode_step(Tensor([[1.0]]), DecodeState.zeros(p), p)
+            label_feedback_sequence(Tensor([[1.0]]), p)
 
 
 class TestTagDistribution:
@@ -121,10 +101,9 @@ class TestDecodeSequence:
         p = DecoderParams.init(rng, 3, 4, 5, 6)
         Hstar = rng.uniform(-1, 1, (4, 3))
         ids, probs = decode_sequence(Tensor(Hstar), p)
-        state = DecodeState.zeros(p)
+        T = label_feedback_sequence(Tensor(Hstar), p)
         for t in range(4):
-            state = decode_step(Tensor(Hstar[t : t + 1]), state, p)
-            row = tag_distribution(state.T, p)
+            row = tag_distribution(nm.gather_rows(T, [t]), p)
             np.testing.assert_allclose(probs.data[t], row.data[0], atol=1e-15)
             assert ids[t] == int(np.argmax(row.data[0]))
 
@@ -156,11 +135,11 @@ def test_state_bounds_with_zero_init(seed):
     rng = np.random.default_rng(200 + seed)
     p = DecoderParams.init(rng, 3, 4, 4, 6)
     Hstar = rng.uniform(-3, 3, (10, 3))
-    state = DecodeState.zeros(p)
+    T = label_feedback_sequence(Tensor(Hstar), p).data
+    H = hidden_states(T, p)
     for t in range(10):
-        state = decode_step(Tensor(Hstar[t : t + 1]), state, p)
-        assert np.all(np.abs(state.h.data) < 1.0)
-        assert np.all(np.abs(state.T.data) < 1.0)
+        assert np.all(np.abs(H[t]) < 1.0)
+        assert np.all(np.abs(T[t]) < 1.0)
 
 
 def test_label_feedback_carries_gradient_across_steps():
@@ -196,8 +175,24 @@ def test_full_decoder_gradients_match_finite_differences():
 
     _, probs = decode_sequence(Tensor(Hstar), p)
     nm.backward(nm.sum_all(nm.mul(probs, Tensor(mask))))
-    for name in ("W_r", "U_r", "V_r", "b_r", "W_z", "U_z", "V_z", "b_z",
-                 "W", "U", "V", "b", "W_T", "b_T", "W_Y", "b_Y"):
-        theta = getattr(p, name)
+    for name, theta in named_tensors(p):
+        fd = nm.finite_diff_grad(loss, theta, h=1e-5)
+        assert nm.relative_error(theta.grad, fd) < 1e-4, name
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_decoder_input_and_parameter_gradients_match_finite_differences(n):
+    rng = np.random.default_rng(10 + n)
+    p = DecoderParams.init(rng, 2, 3, 3, 4)
+    Hstar = Tensor(rng.uniform(-1, 1, (n, 2)), requires_grad=True)
+    mask = np.cos(np.arange(4 * n)).reshape(n, 4)
+
+    def loss():
+        _, probs = decode_sequence(Hstar, p)
+        return float((probs.data * mask).sum())
+
+    _, probs = decode_sequence(Hstar, p)
+    nm.backward(nm.sum_all(nm.mul(probs, Tensor(mask))))
+    for name, theta in [("h_stars", Hstar)] + named_tensors(p):
         fd = nm.finite_diff_grad(loss, theta, h=1e-5)
         assert nm.relative_error(theta.grad, fd) < 1e-4, name

@@ -54,6 +54,15 @@ class TestLoadWordVectors:
         with pytest.raises(WordVectorParseError, match="of 3 rows"):
             load_word_vectors(p)
 
+    @pytest.mark.parametrize("body, last_line", [
+        ("3 2\n", 1), ("3 2\na 1 2\n", 2), ("3 2\na 1 2\n\nb 3 4\n\n", 5)])
+    def test_truncated_body_names_the_last_line(self, tmp_path, body, last_line):
+        p = tmp_path / "vec.txt"
+        p.write_text(body)
+        with pytest.raises(WordVectorParseError,
+                           match=f"^line {last_line}: file ends after"):
+            load_word_vectors(p)
+
     def test_duplicate_last_wins_with_warning(self, tmp_path):
         p = tmp_path / "vec.txt"
         p.write_text("2 2\nw 1 1\nw 2 2\n")
@@ -127,6 +136,13 @@ class TestMixEmbed:
         p = self.make(vocab, 3, 4, zero=True)
         out = mix_embed("ab", vocab, lx, p)
         np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("with_lexicon", [True, False])
+    def test_empty_text_rejected(self, with_lexicon):
+        vocab = CharVocab("ab")
+        lx = lex({"ab": [1.0, 2.0]}) if with_lexicon else None
+        with pytest.raises(ValueError, match="text is empty"):
+            mix_embed("", vocab, lx, self.make(vocab, 2, 3))
 
     def test_oov_char_equals_char_table_row(self):
         vocab = CharVocab("ab")

@@ -3,35 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from helpers import named_tensors, reference_gru_sequence
 from tripletag import numerics as nm
-from tripletag.encoder import BiGruParams, GruParams, encode, gru_step
+from tripletag.encoder import BiGruParams, GruParams, encode, gru_sequence
 from tripletag.numerics import Tensor
-
-
-def np_sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def reference_gru_sequence(E, p: GruParams):
-    """Straight-line numpy re-implementation of the recurrence."""
-    Wz, Uz, bz = p.W_z.data, p.U_z.data, p.b_z.data
-    Wr, Ur, br = p.W_r.data, p.U_r.data, p.b_r.data
-    W, U, b = p.W.data, p.U.data, p.b.data
-    h = np.zeros((1, p.hidden_size))
-    out = []
-    for t in range(E.shape[0]):
-        w = E[t : t + 1]
-        z = np_sigmoid(w @ Wz + h @ Uz + bz)
-        r = np_sigmoid(w @ Wr + h @ Ur + br)
-        cand = np.tanh(w @ W + (r * h) @ U + b)
-        h = (1.0 - z) * h + z * cand
-        out.append(h[0].copy())
-    return np.array(out)
 
 
 def zero_gru(m_in, d):
     p = GruParams.init(np.random.default_rng(0), m_in, d)
-    for _, t in p.tensors():
+    for _, t in named_tensors(p):
         t.data[:] = 0.0
     return p
 
@@ -39,7 +19,7 @@ def zero_gru(m_in, d):
 class TestGruStep:
     def test_all_zero_params_keep_zero_state(self):
         p = zero_gru(3, 2)
-        h = gru_step(Tensor([[1.0, -1.0, 2.0]]), Tensor([[0.0, 0.0]]), p)
+        h = gru_sequence(Tensor([[1.0, -1.0, 2.0]]), p)
         np.testing.assert_array_equal(h.data, [[0.0, 0.0]])
 
     def test_scalar_hand_case(self):
@@ -47,7 +27,7 @@ class TestGruStep:
         p = zero_gru(1, 1)
         p.W.data[0, 0] = 1.0
         p.W_r.data[0, 0] = 0.7  # r is irrelevant with h_prev = 0
-        h = gru_step(Tensor([[1.0]]), Tensor([[0.0]]), p)
+        h = gru_sequence(Tensor([[1.0]]), p)
         assert abs(h.item() - 0.5 * math.tanh(1.0)) < 1e-12
         assert abs(h.item() - 0.380797) < 1e-6
 
@@ -56,15 +36,19 @@ class TestGruStep:
         p = GruParams.init(rng, 4, 3)
         E = rng.uniform(-2, 2, (6, 4))
         want = reference_gru_sequence(E, p)
-        h = Tensor(np.zeros((1, 3)))
+        h = gru_sequence(Tensor(E), p)
         for t in range(6):
-            h = gru_step(Tensor(E[t : t + 1]), h, p)
-            np.testing.assert_allclose(h.data[0], want[t], atol=1e-12)
+            np.testing.assert_allclose(h.data[t], want[t], atol=1e-12)
 
     def test_dimension_mismatch(self):
         p = GruParams.init(np.random.default_rng(2), 4, 3)
         with pytest.raises(nm.DimensionError):
-            gru_step(Tensor([[1.0, 2.0]]), Tensor(np.zeros((1, 3))), p)
+            gru_sequence(Tensor([[1.0, 2.0]]), p)
+
+    def test_empty_sequence_rejected(self):
+        p = GruParams.init(np.random.default_rng(2), 4, 3)
+        with pytest.raises(nm.DimensionError):
+            gru_sequence(Tensor(np.zeros((0, 4))), p)
 
 
 class TestEncode:
@@ -73,9 +57,8 @@ class TestEncode:
         p = BiGruParams.init(rng, 4, 3)
         E = Tensor(rng.uniform(-1, 1, (1, 4)))
         out = encode(E, p)
-        zero = Tensor(np.zeros((1, 3)))
-        f = gru_step(nm.gather_rows(E, [0]), zero, p.forward)
-        b = gru_step(nm.gather_rows(E, [0]), zero, p.backward)
+        f = gru_sequence(E, p.forward)
+        b = gru_sequence(E, p.backward)
         np.testing.assert_allclose(out.data, np.hstack([f.data, b.data]),
                                    atol=1e-15)
 
@@ -115,13 +98,12 @@ class TestEncode:
 def test_hidden_states_bounded_with_zero_init(seed):
     rng = np.random.default_rng(100 + seed)
     p = GruParams.init(rng, 4, 3)
-    for _, t in p.tensors():
+    for _, t in named_tensors(p):
         t.data *= 4.0  # exaggerate weights; boundedness must still hold
     E = rng.uniform(-3, 3, (12, 4))
-    h = Tensor(np.zeros((1, 3)))
+    h = gru_sequence(Tensor(E), p)
     for t in range(12):
-        h = gru_step(Tensor(E[t : t + 1]), h, p)
-        assert np.all(np.abs(h.data) < 1.0)
+        assert np.all(np.abs(h.data[t]) < 1.0)
 
 
 def test_gate_outputs_in_open_unit_interval():
@@ -146,6 +128,31 @@ def test_encode_gradients_match_finite_differences():
     out = encode(Tensor(E), p)
     nm.backward(nm.sum_all(nm.mul(out, Tensor(mask))))
     for side in (p.forward, p.backward):
-        for name, theta in side.tensors():
+        for name, theta in named_tensors(side):
             fd = nm.finite_diff_grad(loss, theta, h=1e-5)
             assert nm.relative_error(theta.grad, fd) < 1e-4, name
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_encode_input_and_parameter_gradients_match_finite_differences(n):
+    # both directions and the input E; n = 1 is a single step each way
+    rng = np.random.default_rng(10 + n)
+    p = BiGruParams.init(rng, 3, 2)
+    E = Tensor(rng.uniform(-1, 1, (n, 3)), requires_grad=True)
+    mask = np.cos(np.arange(4 * n)).reshape(n, 4)
+
+    def loss():
+        return float((encode(E, p).data * mask).sum())
+
+    nm.backward(nm.sum_all(nm.mul(encode(E, p), Tensor(mask))))
+    thetas = [("E", E)] + [(side + "." + name, theta)
+                           for side in ("forward", "backward")
+                           for name, theta in named_tensors(getattr(p, side))]
+    for name, theta in thetas:
+        fd = nm.finite_diff_grad(loss, theta, h=1e-5)
+        if n == 1 and name.split(".")[-1] in ("U_z", "U_r", "U", "W_r", "b_r"):
+            # the only step reads h = 0, which these act on alone
+            assert not theta.grad.any(), name
+        else:
+            assert np.any(np.abs(fd) > 1e-8), name
+        assert nm.relative_error(theta.grad, fd) < 1e-4, name

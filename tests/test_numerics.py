@@ -125,13 +125,6 @@ class TestConcatAndStack:
         with pytest.raises(nm.DimensionError):
             nm.concat_cols(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))))
 
-    def test_stack_rows_and_slice_back(self):
-        rows = [Tensor([[float(i), float(i + 1)]]) for i in range(4)]
-        stacked = nm.stack_rows(rows)
-        assert stacked.shape == (4, 2)
-        for i, r in enumerate(rows):
-            np.testing.assert_array_equal(nm.gather_rows(stacked, [i]).data, r.data)
-
 
 class TestGatherRows:
     @pytest.mark.parametrize("ids", [[], [-1], [3], np.zeros((1, 1), dtype=int), [0.5]],
@@ -237,8 +230,6 @@ OP_CASES = {
     "concat_cols": (lambda a, b: nm.concat_cols(a, b), [(3, 2), (3, 4)]),
     "transpose": (lambda a: nm.transpose(a), [(3, 4)]),
     "gather_rows": (lambda a: nm.gather_rows(a, [1, 0, 1]), [(3, 4)]),
-    "stack_rows": (lambda a, b, c: nm.stack_rows([a, b, c]),
-                   [(1, 4), (1, 4), (1, 4)]),
     "sum_all": (lambda a: nm.sum_all(a), [(3, 4)]),
     "scale": (lambda a: nm.scale(a, -2.5), [(3, 4)]),
     "log_positive": (lambda a: nm.log(nm.sigmoid(a)), [(3, 4)]),
