@@ -20,24 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .encoder import GruCell
+from .encoder import GruCell, packed
 from .numerics import Tensor
 
 
 @dataclass
 class DecoderParams:
-    """Gate maps from the input (W_*), hidden state (U_*), and label feedback
-    (V_*); the label map W_T/b_T; the tag-logit map W_Y/b_Y."""
+    """The GRU's weights, packed by gate in z | r | c column order as in
+    `GruParams` (W, U_zr, U, b), plus the label feedback map V (tau, 3d);
+    the label map W_T/b_T; the tag-logit map W_Y/b_Y."""
 
-    W_r: Tensor
-    U_r: Tensor
-    V_r: Tensor
-    b_r: Tensor
-    W_z: Tensor
-    U_z: Tensor
-    V_z: Tensor
-    b_z: Tensor
     W: Tensor
+    U_zr: Tensor
     U: Tensor
     V: Tensor
     b: Tensor
@@ -50,15 +44,15 @@ class DecoderParams:
     def init(cls, rng: np.random.Generator, d_v: int, d_dec: int, tau: int,
              k: int) -> "DecoderParams":
         u = nm.uniform_init
-        return cls(
-            W_r=u(rng, d_v, d_dec), U_r=u(rng, d_dec, d_dec),
-            V_r=u(rng, tau, d_dec), b_r=nm.zeros_init(1, d_dec),
-            W_z=u(rng, d_v, d_dec), U_z=u(rng, d_dec, d_dec),
-            V_z=u(rng, tau, d_dec), b_z=nm.zeros_init(1, d_dec),
-            W=u(rng, d_v, d_dec), U=u(rng, d_dec, d_dec),
-            V=u(rng, tau, d_dec), b=nm.zeros_init(1, d_dec),
-            W_T=u(rng, d_dec, tau), b_T=nm.zeros_init(1, tau),
-            W_Y=u(rng, tau, k), b_Y=nm.zeros_init(1, k))
+        # each (rows, d_dec) block is drawn on its own, with its own fan
+        # limit; per gate W, U, V, gates drawn in r, z, c order
+        r, z, c = ([u(rng, rows, d_dec).data for rows in (d_v, d_dec, tau)]
+                   for _ in range(3))
+        W, U, V = zip(z, r, c)
+        return cls(W=packed(*W), U_zr=packed(*U[:2]), U=packed(U[2]), V=packed(*V),
+                   b=nm.zeros_init(1, 3 * d_dec),
+                   W_T=u(rng, d_dec, tau), b_T=nm.zeros_init(1, tau),
+                   W_Y=u(rng, tau, k), b_Y=nm.zeros_init(1, k))
 
     @property
     def hidden_size(self) -> int:
@@ -68,25 +62,20 @@ class DecoderParams:
     def label_width(self) -> int:
         return self.W_T.shape[1]
 
-    @property
-    def tag_count(self) -> int:
-        return self.W_Y.shape[1]
-
 
 def label_feedback_sequence(h_stars: Tensor, p: DecoderParams) -> Tensor:
     """(n x d_v) inputs -> (n x tau) label rows T_1..T_n, as a single autodiff
     node.
 
-    Step t runs the encoder's GRU cell on x_t with T_{t-1} [V_z|V_r|V] added
-    to the gate pre-activations, then sets T_t = tanh(h_t W_T + b_T); h_0 and
+    Step t runs the encoder's GRU cell on x_t with T_{t-1} V added to the
+    z | r | c pre-activations, then sets T_t = tanh(h_t W_T + b_T); h_0 and
     T_0 are zero. Raises DimensionError (a ValueError) for an empty input or
-    a width that does not match W_*.
+    a width that does not match W.
     """
     cell = GruCell(p)
     A = cell.inputs(h_stars)
     n, d, tau = h_stars.shape[0], cell.d, p.label_width
-    V = np.hstack([p.V_z.data, p.V_r.data, p.V.data])
-    W_T, b_T = p.W_T.data, p.b_T.data[0]
+    V, W_T, b_T = p.V.data, p.W_T.data, p.b_T.data[0]
     H = np.zeros((n + 1, d))  # H[t], T[t] are what step t reads
     T = np.zeros((n + 1, tau))
     G = np.empty((n, 3 * d))
@@ -105,14 +94,12 @@ def label_feedback_sequence(h_stars: Tensor, p: DecoderParams) -> Tensor:
             dh = cell.step_back(dh + DT[t] @ W_T.T, S[t], DA[t])
             dT = DA[t] @ V.T
         cell.accumulate_grads(h_stars, H[:-1], G, DA)
-        grads = (*np.hsplit(T[:-1].T @ DA, 3), H[1:].T @ DT,
-                 DT.sum(axis=0, keepdims=True))
-        for theta, grad in zip((p.V_z, p.V_r, p.V, p.W_T, p.b_T), grads):
+        grads = (T[:-1].T @ DA, H[1:].T @ DT, DT.sum(axis=0, keepdims=True))
+        for theta, grad in zip((p.V, p.W_T, p.b_T), grads):
             if theta.requires_grad:
                 nm.accumulate(theta, grad)
 
-    return nm.result(T[1:], (h_stars, *cell.tensors, p.V_z, p.V_r, p.V,
-                             p.W_T, p.b_T), backward)
+    return nm.result(T[1:], (h_stars, *cell.tensors, p.V, p.W_T, p.b_T), backward)
 
 
 def tag_distribution(T: Tensor, p: DecoderParams) -> Tensor:

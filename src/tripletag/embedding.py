@@ -35,10 +35,6 @@ class CharVocab:
                 self._id[c] = len(self._id)
         self._chars = list(self._id)
 
-    @classmethod
-    def from_texts(cls, texts: Iterable[str]) -> "CharVocab":
-        return cls(c for text in texts for c in text)
-
     def __len__(self) -> int:
         return len(self._id)
 
@@ -147,7 +143,7 @@ class Segment:
     length: int
 
 
-def segment(text: str, lexicon: Optional[WordLexicon]) -> list[Segment]:
+def segment(text: str, lexicon: WordLexicon) -> list[Segment]:
     """Forward maximum matching against the lexicon keys.
 
     At each position take the longest lexicon word starting there; with no
@@ -155,8 +151,6 @@ def segment(text: str, lexicon: Optional[WordLexicon]) -> list[Segment]:
     """
     if not text:
         raise ValueError("text is empty")
-    if lexicon is None:
-        return [Segment(c, i, 1) for i, c in enumerate(text)]
     out = []
     n = len(text)
     i = 0
@@ -180,19 +174,13 @@ class EmbedParams:
 
     char_table: Tensor
     projection: Optional[Tensor]
-    m: int
 
     @classmethod
     def init(cls, rng: np.random.Generator, vocab_size: int, m: int,
              word_dim: Optional[int]) -> "EmbedParams":
         char_table = nm.uniform_init(rng, vocab_size, m)
         projection = nm.uniform_init(rng, word_dim, m) if word_dim else None
-        return cls(char_table=char_table, projection=projection, m=m)
-
-
-def char_rows(text: str, vocab: CharVocab, params: EmbedParams) -> Tensor:
-    """(n x m) matrix of per-character table rows; gradient reaches the table."""
-    return nm.gather_rows(params.char_table, vocab.ids(text))
+        return cls(char_table=char_table, projection=projection)
 
 
 def mix_embed(text: str, vocab: CharVocab, lexicon: Optional[WordLexicon],
@@ -206,7 +194,7 @@ def mix_embed(text: str, vocab: CharVocab, lexicon: Optional[WordLexicon],
     """
     if not text:
         raise ValueError("text is empty")
-    chars = char_rows(text, vocab, params)
+    chars = nm.gather_rows(params.char_table, vocab.ids(text))
     if lexicon is None or params.projection is None:
         return chars
     word_mat = np.zeros((len(text), lexicon.dim))

@@ -7,8 +7,8 @@ their per-position outputs are concatenated.
 
 Each direction is one autodiff node, `gru_sequence`, with a hand-written
 backpropagation through time. The input projections of all steps are one
-matmul against the concatenated gate weights, and the backward sums every
-weight gradient as one whole-sequence product. `GruCell` is the numpy cell,
+matmul against the packed input map W, and the backward sums every weight
+gradient as one whole-sequence product. `GruCell` is the numpy cell,
 forward and backward; the decoder reuses it with its label-feedback term.
 """
 
@@ -22,29 +22,31 @@ from . import numerics as nm
 from .numerics import Tensor
 
 
+def packed(*blocks: np.ndarray) -> Tensor:
+    """A trainable tensor of the blocks side by side, in the given order."""
+    return Tensor(np.hstack(blocks), requires_grad=True)
+
+
 @dataclass
 class GruParams:
-    """One direction's weights: input maps W_*, recurrent maps U_*, biases b_*."""
+    """One direction's weights, packed by gate in z | r | c column order:
+    the input map W (m, 3d), the gates' recurrent map U_zr (d, 2d), the
+    candidate's recurrent map U (d, d), which reads r*h, and the bias b
+    (1, 3d)."""
 
-    W_z: Tensor
-    U_z: Tensor
-    b_z: Tensor
-    W_r: Tensor
-    U_r: Tensor
-    b_r: Tensor
     W: Tensor
+    U_zr: Tensor
     U: Tensor
     b: Tensor
 
     @classmethod
     def init(cls, rng: np.random.Generator, m_in: int, d: int) -> "GruParams":
-        return cls(
-            W_z=nm.uniform_init(rng, m_in, d), U_z=nm.uniform_init(rng, d, d),
-            b_z=nm.zeros_init(1, d),
-            W_r=nm.uniform_init(rng, m_in, d), U_r=nm.uniform_init(rng, d, d),
-            b_r=nm.zeros_init(1, d),
-            W=nm.uniform_init(rng, m_in, d), U=nm.uniform_init(rng, d, d),
-            b=nm.zeros_init(1, d))
+        # each (rows, d) block is drawn on its own, with its own fan limit;
+        # per gate W before U, gates in z | r | c order
+        W, U = zip(*([nm.uniform_init(rng, rows, d).data for rows in (m_in, d)]
+                     for _ in range(3)))
+        return cls(W=packed(*W), U_zr=packed(*U[:2]), U=packed(U[2]),
+                   b=nm.zeros_init(1, 3 * d))
 
     @property
     def hidden_size(self) -> int:
@@ -67,23 +69,20 @@ class BiGruParams:
 
 
 class GruCell:
-    """The GRU cell in numpy, with one parameter set's gates concatenated in
-    z | r | candidate order.
+    """The GRU cell in numpy, reading a parameter set's packed z | r | c
+    weights as they are stored.
 
-    Per step, with input pre-activations a = x [W_z|W_r|W] + [b_z|b_r|b]:
-    z|r = sigmoid(a[:2d] + h [U_z|U_r]), c = tanh(a[2d:] + (r*h) U) and
-    h' = (1 - z) * h + z * c, computed as h + z * (c - h). Vectors are 1-D
-    rows; per-step results are written into rows of the caller's
-    whole-sequence arrays. `p` is a `GruParams` or any parameter set with the
-    same nine gate fields.
+    Per step, with input pre-activations a = x W + b: z|r = sigmoid(a[:2d] +
+    h U_zr), c = tanh(a[2d:] + (r*h) U) and h' = (1 - z) * h + z * c,
+    computed as h + z * (c - h). Vectors are 1-D rows; per-step results are
+    written into rows of the caller's whole-sequence arrays. `p` is a
+    `GruParams` or any parameter set with its fields W, U_zr, U and b.
     """
 
     def __init__(self, p: GruParams):
-        self.tensors = (p.W_z, p.W_r, p.W, p.U_z, p.U_r, p.U, p.b_z, p.b_r, p.b)
-        self.W = np.hstack([p.W_z.data, p.W_r.data, p.W.data])
-        self.b = np.hstack([p.b_z.data, p.b_r.data, p.b.data])[0]
-        self.U_zr = np.hstack([p.U_z.data, p.U_r.data])
-        self.U = p.U.data
+        self.tensors = (p.W, p.U_zr, p.U, p.b)
+        self.W, self.U_zr, self.U = p.W.data, p.U_zr.data, p.U.data
+        self.b = p.b.data[0]
         self.d = self.U.shape[0]
 
     def inputs(self, X: Tensor) -> np.ndarray:
@@ -130,15 +129,13 @@ class GruCell:
 
     def accumulate_grads(self, X: Tensor, H_prev: np.ndarray, G: np.ndarray,
                          DA: np.ndarray) -> None:
-        """Whole-sequence gradients of X and of the nine gate tensors, from the
+        """Whole-sequence gradients of X and of W, U_zr, U and b, from the
         (n, 3d) pre-activation gradients DA, the states H_prev the steps read
         and their gates G."""
         d = self.d
-        dW = X.data.T @ DA
-        dU_zr = H_prev.T @ DA[:, : 2 * d]
-        dU = (G[:, d : 2 * d] * H_prev).T @ DA[:, 2 * d :]
-        db = DA.sum(axis=0, keepdims=True)
-        grads = (*np.hsplit(dW, 3), *np.hsplit(dU_zr, 2), dU, *np.hsplit(db, 3))
+        grads = (X.data.T @ DA, H_prev.T @ DA[:, : 2 * d],
+                 (G[:, d : 2 * d] * H_prev).T @ DA[:, 2 * d :],
+                 DA.sum(axis=0, keepdims=True))
         for t, g in zip(self.tensors, grads):
             if t.requires_grad:
                 nm.accumulate(t, g)
@@ -151,7 +148,7 @@ def gru_sequence(X: Tensor, p: GruParams) -> Tensor:
     state, as a single autodiff node.
 
     Raises DimensionError (a ValueError) for an empty sequence or an input
-    width that does not match W_*.
+    width that does not match W.
     """
     cell = GruCell(p)
     A = cell.inputs(X)

@@ -316,13 +316,15 @@ class RmspropState:
         self.learning_rate = learning_rate
         self.rho = rho
         self.epsilon = epsilon
-        self._acc: dict[int, np.ndarray] = {}
+        # keyed by the tensor itself (tensors hash by identity), which keeps it
+        # alive: an id() key could pass a freed tensor's state to a new one
+        self._acc: dict[Tensor, np.ndarray] = {}
 
     def accumulator(self, theta: Tensor) -> np.ndarray:
-        acc = self._acc.get(id(theta))
+        acc = self._acc.get(theta)
         if acc is None:
             acc = np.zeros_like(theta.data)
-            self._acc[id(theta)] = acc
+            self._acc[theta] = acc
         return acc
 
 

@@ -34,7 +34,6 @@ class Triple:
     tail: str
     tail_span: tuple[int, int]
     relation: str
-    confidence: Optional[float] = None
 
     def key(self) -> tuple:
         return (self.head_span, self.tail_span, self.relation)

@@ -22,9 +22,10 @@ def np_sigmoid(x):
 
 def reference_gru_sequence(E, p):
     """Straight-line numpy re-implementation of the recurrence."""
-    Wz, Uz, bz = p.W_z.data, p.U_z.data, p.b_z.data
-    Wr, Ur, br = p.W_r.data, p.U_r.data, p.b_r.data
-    W, U, b = p.W.data, p.U.data, p.b.data
+    Wz, Wr, W = np.hsplit(p.W.data, 3)
+    Uz, Ur = np.hsplit(p.U_zr.data, 2)
+    U = p.U.data
+    bz, br, b = np.hsplit(p.b.data, 3)
     h = np.zeros((1, p.hidden_size))
     out = []
     for t in range(E.shape[0]):
@@ -39,17 +40,19 @@ def reference_gru_sequence(E, p):
 
 def reference_decode_rollout(Hstar, p):
     """Straight-line numpy re-implementation of the full decode recurrence."""
+    Wz, Wr, W = np.hsplit(p.W.data, 3)
+    Uz, Ur = np.hsplit(p.U_zr.data, 2)
+    U = p.U.data
+    Vz, Vr, V = np.hsplit(p.V.data, 3)
+    bz, br, b = np.hsplit(p.b.data, 3)
     h = np.zeros((1, p.hidden_size))
     T = np.zeros((1, p.label_width))
     states, probs = [], []
     for t in range(Hstar.shape[0]):
         x = Hstar[t : t + 1]
-        r = np_sigmoid(x @ p.W_r.data + h @ p.U_r.data + T @ p.V_r.data
-                       + p.b_r.data)
-        z = np_sigmoid(x @ p.W_z.data + h @ p.U_z.data + T @ p.V_z.data
-                       + p.b_z.data)
-        cand = np.tanh(x @ p.W.data + (r * h) @ p.U.data + T @ p.V.data
-                       + p.b.data)
+        r = np_sigmoid(x @ Wr + h @ Ur + T @ Vr + br)
+        z = np_sigmoid(x @ Wz + h @ Uz + T @ Vz + bz)
+        cand = np.tanh(x @ W + (r * h) @ U + T @ V + b)
         h = (1.0 - z) * h + z * cand
         T = np.tanh(h @ p.W_T.data + p.b_T.data)
         y = T @ p.W_Y.data + p.b_Y.data
@@ -62,6 +65,16 @@ def reference_decode_rollout(Hstar, p):
 # Per-step autodiff compositions of both recurrences: one small graph per
 # character, built from the numerics ops. They are the gradient oracles for
 # the fused one-node kernels and share no code with them.
+
+def gate_blocks(t, count):
+    """The `count` equal column blocks of a packed tensor, left to right, as
+    graph nodes: products with constant 0/1 column selectors, so gradients
+    flow back into t."""
+    width = t.shape[1] // count
+    eye = np.eye(t.shape[1])
+    return [nm.matmul(t, Tensor(eye[:, i * width : (i + 1) * width]))
+            for i in range(count)]
+
 
 def _gate(terms, b):
     out = nm.matmul(*terms[0])
@@ -78,14 +91,17 @@ def _gru_update(z, h_prev, cand):
 def oracle_gru_rows(X, p, reverse=False):
     """Per-step (1, d) states of one GRU pass over X's rows, in row order;
     with `reverse` the pass reads the rows last to first."""
+    Wz, Wr, W = gate_blocks(p.W, 3)
+    Uz, Ur = gate_blocks(p.U_zr, 2)
+    bz, br, b = gate_blocks(p.b, 3)
     n = X.shape[0]
     h = Tensor(np.zeros((1, p.hidden_size)))
     rows = [None] * n
     for t in (range(n - 1, -1, -1) if reverse else range(n)):
         x = nm.gather_rows(X, [t])
-        z = nm.sigmoid(_gate([(x, p.W_z), (h, p.U_z)], p.b_z))
-        r = nm.sigmoid(_gate([(x, p.W_r), (h, p.U_r)], p.b_r))
-        cand = nm.tanh(_gate([(x, p.W), (nm.mul(r, h), p.U)], p.b))
+        z = nm.sigmoid(_gate([(x, Wz), (h, Uz)], bz))
+        r = nm.sigmoid(_gate([(x, Wr), (h, Ur)], br))
+        cand = nm.tanh(_gate([(x, W), (nm.mul(r, h), p.U)], b))
         h = _gru_update(z, h, cand)
         rows[t] = h
     return rows
@@ -94,14 +110,18 @@ def oracle_gru_rows(X, p, reverse=False):
 def oracle_decode_rows(h_stars, p):
     """Per-step (1, d_dec) states, (1, tau) label rows and (1, k) tag
     probability rows of the label-feedback decoder."""
+    Wz, Wr, W = gate_blocks(p.W, 3)
+    Uz, Ur = gate_blocks(p.U_zr, 2)
+    Vz, Vr, V = gate_blocks(p.V, 3)
+    bz, br, b = gate_blocks(p.b, 3)
     h = Tensor(np.zeros((1, p.hidden_size)))
     T = Tensor(np.zeros((1, p.label_width)))
     states, labels, probs = [], [], []
     for t in range(h_stars.shape[0]):
         x = nm.gather_rows(h_stars, [t])
-        r = nm.sigmoid(_gate([(x, p.W_r), (h, p.U_r), (T, p.V_r)], p.b_r))
-        z = nm.sigmoid(_gate([(x, p.W_z), (h, p.U_z), (T, p.V_z)], p.b_z))
-        cand = nm.tanh(_gate([(x, p.W), (nm.mul(r, h), p.U), (T, p.V)], p.b))
+        r = nm.sigmoid(_gate([(x, Wr), (h, Ur), (T, Vr)], br))
+        z = nm.sigmoid(_gate([(x, Wz), (h, Uz), (T, Vz)], bz))
+        cand = nm.tanh(_gate([(x, W), (nm.mul(r, h), p.U), (T, V)], b))
         h = _gru_update(z, h, cand)
         T = nm.tanh(nm.add(nm.matmul(h, p.W_T), p.b_T))
         states.append(h)

@@ -27,7 +27,7 @@ def hidden_states(T, p):
 class TestDecodeStep:
     def test_all_zero_params_zero_state(self):
         p = zero_decoder(d_v=2, d_dec=3, tau=3, k=4)
-        p.W_T.data[:] = np.eye(3)  # T = tanh(h) shows h; V_* = 0 cuts feedback
+        p.W_T.data[:] = np.eye(3)  # T = tanh(h) shows h; V = 0 cuts feedback
         T = label_feedback_sequence(Tensor([[1.0, -1.0]]), p).data
         np.testing.assert_array_equal(hidden_states(T, p), np.zeros((1, 3)))
         np.testing.assert_array_equal(T, np.zeros((1, 3)))
@@ -35,7 +35,7 @@ class TestDecodeStep:
     def test_scalar_hand_case(self):
         # z=0.5, cand=tanh(1), h=0.5*tanh(1)~0.380797, T=tanh(h)~0.363399
         p = zero_decoder()
-        p.W.data[0, 0] = 1.0
+        p.W.data[0, 2] = 1.0  # candidate column (z | r | c)
         p.W_T.data[0, 0] = 1.0
         T = label_feedback_sequence(Tensor([[1.0]]), p).data
         h = 0.5 * math.tanh(1.0)
@@ -59,6 +59,26 @@ class TestDecodeStep:
         p = DecoderParams.init(np.random.default_rng(2), 3, 4, 4, 5)
         with pytest.raises(nm.DimensionError):
             label_feedback_sequence(Tensor([[1.0]]), p)
+
+
+def test_init_packs_per_gate_draws_in_order():
+    # each block keeps its own fan limit sqrt(6/(rows+d_dec)); one packed
+    # draw would use sqrt(6/(rows+3*d_dec))
+    d_v, d_dec, tau, k = 2, 3, 4, 5
+    p = DecoderParams.init(np.random.default_rng(13), d_v, d_dec, tau, k)
+    assert [name for name, _ in named_tensors(p)] == [
+        "W", "U_zr", "U", "V", "b", "W_T", "b_T", "W_Y", "b_Y"]
+    rng = np.random.default_rng(13)
+    u = nm.uniform_init
+    W_r, U_r, V_r, W_z, U_z, V_z, W_c, U_c, V_c = (
+        u(rng, rows, d_dec).data for _ in range(3) for rows in (d_v, d_dec, tau))
+    W_T, W_Y = u(rng, d_dec, tau).data, u(rng, tau, k).data
+    for got, want in ((p.W, [W_z, W_r, W_c]), (p.U_zr, [U_z, U_r]), (p.U, [U_c]),
+                      (p.V, [V_z, V_r, V_c]), (p.W_T, [W_T]), (p.W_Y, [W_Y])):
+        np.testing.assert_array_equal(np.hsplit(got.data, len(want)), want)
+    for b, width in ((p.b, 3 * d_dec), (p.b_T, tau), (p.b_Y, k)):
+        np.testing.assert_array_equal(b.data, np.zeros((1, width)))
+    assert all(t.requires_grad for _, t in named_tensors(p))
 
 
 class TestTagDistribution:
@@ -143,7 +163,7 @@ def test_state_bounds_with_zero_init(seed):
 
 
 def test_label_feedback_carries_gradient_across_steps():
-    # restrict the loss to step 2; the feedback maps V_* only touch step 2
+    # restrict the loss to step 2; the feedback map V only touches step 2
     # through T_1, so a nonzero FD-matched gradient proves cross-step flow
     rng = np.random.default_rng(8)
     p = DecoderParams.init(rng, 2, 3, 3, 4)
@@ -156,10 +176,11 @@ def test_label_feedback_carries_gradient_across_steps():
 
     _, probs = decode_sequence(Tensor(Hstar), p)
     nm.backward(nm.sum_all(nm.mul(nm.gather_rows(probs, [1]), Tensor(mask))))
-    for name in ("V_r", "V_z", "V", "W_T"):
+    for name, gates in (("V", 3), ("W_T", 1)):
         theta = getattr(p, name)
         fd = nm.finite_diff_grad(step2_loss, theta, h=1e-5)
-        assert np.any(np.abs(fd) > 1e-8), name
+        for gate, block in enumerate(np.hsplit(fd, gates)):
+            assert np.any(np.abs(block) > 1e-8), (name, gate)
         assert nm.relative_error(theta.grad, fd) < 1e-4, name
 
 

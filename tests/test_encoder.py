@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import named_tensors, reference_gru_sequence
+from helpers import gate_blocks, named_tensors, reference_gru_sequence
 from tripletag import numerics as nm
 from tripletag.encoder import BiGruParams, GruParams, encode, gru_sequence
 from tripletag.numerics import Tensor
@@ -25,8 +25,8 @@ class TestGruStep:
     def test_scalar_hand_case(self):
         # z = sigmoid(0) = 0.5, candidate = tanh(1), h = 0.5*tanh(1)
         p = zero_gru(1, 1)
-        p.W.data[0, 0] = 1.0
-        p.W_r.data[0, 0] = 0.7  # r is irrelevant with h_prev = 0
+        p.W.data[0, 2] = 1.0  # candidate column (z | r | c)
+        p.W.data[0, 1] = 0.7  # reset column: r is irrelevant with h_prev = 0
         h = gru_sequence(Tensor([[1.0]]), p)
         assert abs(h.item() - 0.5 * math.tanh(1.0)) < 1e-12
         assert abs(h.item() - 0.380797) < 1e-6
@@ -49,6 +49,21 @@ class TestGruStep:
         p = GruParams.init(np.random.default_rng(2), 4, 3)
         with pytest.raises(nm.DimensionError):
             gru_sequence(Tensor(np.zeros((0, 4))), p)
+
+
+def test_init_packs_per_gate_draws_in_order():
+    # each block keeps its own fan limit sqrt(6/(rows+d)); one packed draw
+    # would use sqrt(6/(rows+3d))
+    m_in, d = 4, 3
+    p = GruParams.init(np.random.default_rng(12), m_in, d)
+    assert [name for name, _ in named_tensors(p)] == ["W", "U_zr", "U", "b"]
+    rng = np.random.default_rng(12)
+    W_z, U_z, W_r, U_r, W_c, U_c = (nm.uniform_init(rng, rows, d).data
+                                    for rows in (m_in, d) * 3)
+    for got, want in ((p.W, [W_z, W_r, W_c]), (p.U_zr, [U_z, U_r]), (p.U, [U_c])):
+        np.testing.assert_array_equal(np.hsplit(got.data, len(want)), want)
+    np.testing.assert_array_equal(p.b.data, np.zeros((1, 3 * d)))
+    assert all(t.requires_grad for _, t in named_tensors(p))
 
 
 class TestEncode:
@@ -110,8 +125,11 @@ def test_gate_outputs_in_open_unit_interval():
     rng = np.random.default_rng(8)
     p = GruParams.init(rng, 4, 3)
     w, h = Tensor(rng.uniform(-2, 2, (1, 4))), Tensor(rng.uniform(-0.9, 0.9, (1, 3)))
-    z = nm.sigmoid(nm.add(nm.add(nm.matmul(w, p.W_z), nm.matmul(h, p.U_z)), p.b_z))
-    r = nm.sigmoid(nm.add(nm.add(nm.matmul(w, p.W_r), nm.matmul(h, p.U_r)), p.b_r))
+    W_z, W_r, _ = gate_blocks(p.W, 3)
+    U_z, U_r = gate_blocks(p.U_zr, 2)
+    b_z, b_r, _ = gate_blocks(p.b, 3)
+    z = nm.sigmoid(nm.add(nm.add(nm.matmul(w, W_z), nm.matmul(h, U_z)), b_z))
+    r = nm.sigmoid(nm.add(nm.add(nm.matmul(w, W_r), nm.matmul(h, U_r)), b_r))
     for g in (z.data, r.data):
         assert np.all((g > 0.0) & (g < 1.0))
 
@@ -133,6 +151,11 @@ def test_encode_gradients_match_finite_differences():
             assert nm.relative_error(theta.grad, fd) < 1e-4, name
 
 
+# the gate column blocks of each packed field, and those that act on h alone
+GATES = {"W": "zrc", "U_zr": "zr", "U": "c", "b": "zrc"}
+AT_H0_ONLY = {("U_zr", "z"), ("U_zr", "r"), ("U", "c"), ("W", "r"), ("b", "r")}
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_encode_input_and_parameter_gradients_match_finite_differences(n):
     # both directions and the input E; n = 1 is a single step each way
@@ -150,9 +173,13 @@ def test_encode_input_and_parameter_gradients_match_finite_differences(n):
                            for name, theta in named_tensors(getattr(p, side))]
     for name, theta in thetas:
         fd = nm.finite_diff_grad(loss, theta, h=1e-5)
-        if n == 1 and name.split(".")[-1] in ("U_z", "U_r", "U", "W_r", "b_r"):
-            # the only step reads h = 0, which these act on alone
-            assert not theta.grad.any(), name
-        else:
-            assert np.any(np.abs(fd) > 1e-8), name
+        field = name.split(".")[-1]
+        gates = GATES.get(field, "-")
+        for gate, grad, fd_block in zip(gates, np.hsplit(theta.grad, len(gates)),
+                                        np.hsplit(fd, len(gates))):
+            if n == 1 and (field, gate) in AT_H0_ONLY:
+                # the only step reads h = 0, which these blocks act on alone
+                assert not grad.any(), (name, gate)
+            else:
+                assert np.any(np.abs(fd_block) > 1e-8), (name, gate)
         assert nm.relative_error(theta.grad, fd) < 1e-4, name

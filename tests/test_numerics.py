@@ -297,6 +297,16 @@ class TestRmsprop:
             nm.rmsprop_step(theta, state)
             assert np.all(state.accumulator(theta) >= 0)
 
+    def test_new_tensor_gets_a_fresh_accumulator(self):
+        # a freed tensor's id is soon reused; its accumulator must not be
+        state = nm.RmspropState(learning_rate=0.1)
+        for _ in range(20):
+            theta = Tensor(np.ones((2, 2)), requires_grad=True)
+            assert not state.accumulator(theta).any()
+            theta.grad[:] = 1.0
+            nm.rmsprop_step(theta, state)
+            del theta
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             nm.RmspropState(learning_rate=0.0)
