@@ -23,12 +23,11 @@ class AttnParams:
     W_V: Tensor
 
     @classmethod
-    def init(cls, rng: np.random.Generator, in_dim: int,
-             d_k: int | None = None) -> "AttnParams":
-        d_k = in_dim if d_k is None else d_k
-        return cls(W_Q=nm.uniform_init(rng, in_dim, d_k),
-                   W_K=nm.uniform_init(rng, in_dim, d_k),
-                   W_V=nm.uniform_init(rng, in_dim, d_k))
+    def init(cls, rng: np.random.Generator, in_dim: int) -> "AttnParams":
+        """Square (in_dim, in_dim) maps, so d_k = in_dim."""
+        return cls(W_Q=nm.uniform_init(rng, in_dim, in_dim),
+                   W_K=nm.uniform_init(rng, in_dim, in_dim),
+                   W_V=nm.uniform_init(rng, in_dim, in_dim))
 
     @property
     def d_k(self) -> int:

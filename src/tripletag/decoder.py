@@ -73,7 +73,7 @@ def label_feedback_sequence(h_stars: Tensor, p: DecoderParams) -> Tensor:
     a width that does not match W.
     """
     cell = GruCell(p)
-    A = cell.inputs(h_stars)
+    A = cell.inputs(h_stars.data)
     n, d, tau = h_stars.shape[0], cell.d, p.label_width
     V, W_T, b_T = p.V.data, p.W_T.data, p.b_T.data[0]
     H = np.zeros((n + 1, d))  # H[t], T[t] are what step t reads
@@ -93,7 +93,9 @@ def label_feedback_sequence(h_stars: Tensor, p: DecoderParams) -> Tensor:
             DT[t] *= g[t] + dT
             dh = cell.step_back(dh + DT[t] @ W_T.T, S[t], DA[t])
             dT = DA[t] @ V.T
-        cell.accumulate_grads(h_stars, H[:-1], G, DA)
+        dX = cell.accumulate_grads(h_stars.data, H[:-1], G, DA)
+        if h_stars.requires_grad:
+            nm.accumulate(h_stars, dX)
         grads = (T[:-1].T @ DA, H[1:].T @ DT, DT.sum(axis=0, keepdims=True))
         for theta, grad in zip((p.V, p.W_T, p.b_T), grads):
             if theta.requires_grad:

@@ -3,8 +3,9 @@
 Every character gets a trainable vector from a character table; characters of
 a segmented word additionally share that word's frozen pretrained vector,
 projected into the character dimension. The per-character mixed vector is the
-sum of the two. Words come from a plain-text vector file and are never
-updated; characters outside the vocabulary map to the reserved UNK id 0.
+sum of the two, so the word lexicon and its projection are required. Words
+come from a plain-text vector file and are never updated; characters outside
+the vocabulary map to the reserved UNK id 0.
 """
 
 from __future__ import annotations
@@ -109,6 +110,9 @@ def load_word_vectors(path) -> WordLexicon:
             except ValueError:
                 raise WordVectorParseError(
                     f"line {lineno}: non-numeric vector component") from None
+            if not np.isfinite(vec).all():
+                raise WordVectorParseError(
+                    f"line {lineno}: non-finite vector component")
             if word in vectors:
                 warnings.warn(f"duplicate word {word!r} at line {lineno}; "
                               "keeping the last occurrence")
@@ -173,34 +177,28 @@ class EmbedParams:
     """Trainable character table (V_c x m) and word-vector projection (d_w x m)."""
 
     char_table: Tensor
-    projection: Optional[Tensor]
+    projection: Tensor
 
     @classmethod
     def init(cls, rng: np.random.Generator, vocab_size: int, m: int,
-             word_dim: Optional[int]) -> "EmbedParams":
-        char_table = nm.uniform_init(rng, vocab_size, m)
-        projection = nm.uniform_init(rng, word_dim, m) if word_dim else None
-        return cls(char_table=char_table, projection=projection)
+             word_dim: int) -> "EmbedParams":
+        return cls(char_table=nm.uniform_init(rng, vocab_size, m),
+                   projection=nm.uniform_init(rng, word_dim, m))
 
 
-def mix_embed(text: str, vocab: CharVocab, lexicon: Optional[WordLexicon],
+def mix_embed(text: str, vocab: CharVocab, lexicon: WordLexicon,
               params: EmbedParams) -> Tensor:
     """Mixed embedding: char row + projected word vector, one row per character.
 
     The word vector of a k-character segment contributes identically to all k
     rows; segments without a lexicon vector contribute zero. Gradients reach
     char_table and projection only; lexicon vectors stay fixed. Empty text
-    raises ValueError("text is empty"), as `segment` does.
+    raises ValueError("text is empty") from `segment`.
     """
-    if not text:
-        raise ValueError("text is empty")
-    chars = nm.gather_rows(params.char_table, vocab.ids(text))
-    if lexicon is None or params.projection is None:
-        return chars
     word_mat = np.zeros((len(text), lexicon.dim))
     for seg in segment(text, lexicon):
         vec = lexicon.get(seg.word)
         if vec is not None:
             word_mat[seg.start : seg.start + seg.length, :] = vec
-    projected = nm.matmul(Tensor(word_mat), params.projection)
-    return nm.add(chars, projected)
+    chars = nm.gather_rows(params.char_table, vocab.ids(text))
+    return nm.add(chars, nm.matmul(Tensor(word_mat), params.projection))

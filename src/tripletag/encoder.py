@@ -5,16 +5,18 @@ update gate; the reset gate damps the previous state inside the candidate.
 Two independent direction passes read the sequence forwards and backwards and
 their per-position outputs are concatenated.
 
-Each direction is one autodiff node, `gru_sequence`, with a hand-written
-backpropagation through time. The input projections of all steps are one
-matmul against the packed input map W, and the backward sums every weight
-gradient as one whole-sequence product. `GruCell` is the numpy cell,
-forward and backward; the decoder reuses it with its label-feedback term.
+`encode` is one autodiff node with a hand-written backpropagation through
+time. `GruCell` is the numpy cell, forward and backward: `GruCell.run` makes
+one pass over a sequence, with the input projections of all steps as one
+matmul against the packed input map W, and returns the states plus a
+backward closure that sums every weight gradient as one whole-sequence
+product. The decoder reuses the cell with its label-feedback term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -85,14 +87,14 @@ class GruCell:
         self.b = p.b.data[0]
         self.d = self.U.shape[0]
 
-    def inputs(self, X: Tensor) -> np.ndarray:
+    def inputs(self, X: np.ndarray) -> np.ndarray:
         """(n, 3d) input pre-activations of every step, as one matmul."""
         if X.shape[0] < 1:
             raise nm.DimensionError("GRU: empty sequence")
         if X.shape[1] != self.W.shape[0]:
             raise nm.DimensionError(
                 f"GRU: input width {X.shape[1]}, weights expect {self.W.shape[0]}")
-        return X.data @ self.W + self.b
+        return X @ self.W + self.b
 
     def step(self, a: np.ndarray, h: np.ndarray, gates: np.ndarray) -> np.ndarray:
         """New state from pre-activations a (3d,) and state h (d,); writes
@@ -101,7 +103,7 @@ class GruCell:
         zr = gates[: 2 * d]
         np.tanh(0.5 * (a[: 2 * d] + h @ self.U_zr), out=zr)
         zr += 1.0
-        zr *= 0.5  # sigmoid, computed via tanh as in nm.sigmoid
+        zr *= 0.5  # sigmoid, computed via tanh for stability on large |x|
         z, r = gates[:d], gates[d : 2 * d]
         c = gates[2 * d :]
         np.tanh(a[2 * d :] + (r * h) @ self.U, out=c)
@@ -127,57 +129,61 @@ class GruCell:
         np.multiply(d_rh, s[2 * d : 3 * d], out=da[d : 2 * d])
         return dh * s[3 * d : 4 * d] + d_rh * s[4 * d :] + da[: 2 * d] @ self.U_zr.T
 
-    def accumulate_grads(self, X: Tensor, H_prev: np.ndarray, G: np.ndarray,
-                         DA: np.ndarray) -> None:
-        """Whole-sequence gradients of X and of W, U_zr, U and b, from the
-        (n, 3d) pre-activation gradients DA, the states H_prev the steps read
-        and their gates G."""
+    def accumulate_grads(self, X: np.ndarray, H_prev: np.ndarray, G: np.ndarray,
+                         DA: np.ndarray) -> np.ndarray:
+        """Accumulates the whole-sequence gradients of W, U_zr, U and b, from
+        the (n, 3d) pre-activation gradients DA, the inputs X, the states
+        H_prev the steps read and their gates G; returns the gradient of X."""
         d = self.d
-        grads = (X.data.T @ DA, H_prev.T @ DA[:, : 2 * d],
+        grads = (X.T @ DA, H_prev.T @ DA[:, : 2 * d],
                  (G[:, d : 2 * d] * H_prev).T @ DA[:, 2 * d :],
                  DA.sum(axis=0, keepdims=True))
         for t, g in zip(self.tensors, grads):
             if t.requires_grad:
                 nm.accumulate(t, g)
-        if X.requires_grad:
-            nm.accumulate(X, DA @ self.W.T)
+        return DA @ self.W.T
 
+    def run(self, X: np.ndarray
+            ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """One pass over the (n, m) rows of X from a zero state: the (n, d)
+        states and a backward closure that takes their gradient, accumulates
+        the parameter gradients and returns X's. Raises DimensionError (a
+        ValueError) for an empty X or a width that does not match W."""
+        A = self.inputs(X)
+        n, d = X.shape[0], self.d
+        H = np.zeros((n + 1, d))  # H[t] is the state step t reads
+        G = np.empty((n, 3 * d))
+        for t in range(n):
+            H[t + 1] = self.step(A[t], H[t], G[t])
 
-def gru_sequence(X: Tensor, p: GruParams) -> Tensor:
-    """(n x m) inputs -> (n x d) hidden states of one GRU pass from a zero
-    state, as a single autodiff node.
+        def backward(g: np.ndarray) -> np.ndarray:
+            S = self.slopes(H[:-1], G)
+            DA = np.empty((n, 3 * d))
+            dh = np.zeros(d)
+            for t in range(n - 1, -1, -1):
+                dh = self.step_back(dh + g[t], S[t], DA[t])
+            return self.accumulate_grads(X, H[:-1], G, DA)
 
-    Raises DimensionError (a ValueError) for an empty sequence or an input
-    width that does not match W.
-    """
-    cell = GruCell(p)
-    A = cell.inputs(X)
-    n, d = X.shape[0], cell.d
-    H = np.zeros((n + 1, d))  # H[t] is the state step t reads
-    G = np.empty((n, 3 * d))
-    for t in range(n):
-        H[t + 1] = cell.step(A[t], H[t], G[t])
-
-    def backward(g: np.ndarray) -> None:
-        S = cell.slopes(H[:-1], G)
-        DA = np.empty((n, 3 * d))
-        dh = np.zeros(d)
-        for t in range(n - 1, -1, -1):
-            dh = cell.step_back(dh + g[t], S[t], DA[t])
-        cell.accumulate_grads(X, H[:-1], G, DA)
-
-    return nm.result(H[1:], (X, *cell.tensors), backward)
+        return H[1:], backward
 
 
 def encode(E: Tensor, p: BiGruParams) -> Tensor:
-    """(n x m) embeddings -> (n x 2*d_enc) codes; both passes start from zeros.
+    """(n x m) embeddings -> (n x 2*d_enc) codes, as a single autodiff node;
+    both passes start from zeros.
 
-    The backward pass runs `gru_sequence` over the reversed rows and reverses
-    its output back. An empty E raises DimensionError (a ValueError).
+    The backward pass runs over a reversed copy of the rows and its states
+    are reversed back. An empty E or a width that does not match the input
+    maps raises DimensionError (a ValueError).
     """
-    n = E.shape[0]
-    if n < 1:
-        raise nm.DimensionError("encode: empty sequence")
-    rev = list(range(n - 1, -1, -1))
-    bwd = gru_sequence(nm.gather_rows(E, rev), p.backward)
-    return nm.concat_cols(gru_sequence(E, p.forward), nm.gather_rows(bwd, rev))
+    fwd, bwd = GruCell(p.forward), GruCell(p.backward)
+    H_f, back_f = fwd.run(E.data)
+    H_b, back_b = bwd.run(E.data[::-1].copy())
+    d = fwd.d
+
+    def backward(g: np.ndarray) -> None:
+        dE = back_f(g[:, :d]) + back_b(g[::-1, d:])[::-1]
+        if E.requires_grad:
+            nm.accumulate(E, dE)
+
+    return nm.result(np.hstack([H_f, H_b[::-1]]), (E, *fwd.tensors, *bwd.tensors),
+                     backward)

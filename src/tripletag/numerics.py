@@ -1,10 +1,10 @@
 """Minimal dense-tensor kernel with reverse-mode autodiff and RMSprop.
 
 Everything the tagging model needs and nothing more: 2-D float64 tensors,
-a fixed op set (matmul, elementwise add/sub/mul, sigmoid, tanh, row softmax,
-column concat, row gather, transpose, clamped log, sum, scale), gradient
-accumulation via a recorded graph, the RMSprop update, and a central
-finite-difference oracle for checking all of the above.
+the ops the layers and the loss compose (matmul, add, mul, clamped log,
+scale, sum_all, row softmax, row gather, transpose), gradient accumulation
+via a recorded graph, the RMSprop update, and a central finite-difference
+oracle for checking all of the above.
 
 Layers with a fused kernel (the GRU recurrences in ``encoder`` and
 ``decoder``) build their own one-node ops from ``result`` and ``accumulate``:
@@ -23,6 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 LOG_FLOOR = 1e-12
+RHO = 0.9  # RMSprop decay of the squared-gradient accumulator
+EPSILON = 1e-8  # RMSprop floor under the accumulator's square root
 
 
 class DimensionError(ValueError):
@@ -127,19 +129,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return result(out_data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"sub: shape mismatch {a.shape} vs {b.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            accumulate(a, g)
-        if b.requires_grad:
-            accumulate(b, -g)
-
-    return result(a.data - b.data, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product, identical shapes only."""
     if a.shape != b.shape:
@@ -152,27 +141,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             accumulate(b, g * a.data)
 
     return result(a.data * b.data, (a, b), backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    # computed via tanh for stability on large |x|
-    y = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            accumulate(a, g * y * (1.0 - y))
-
-    return result(y, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            accumulate(a, g * (1.0 - y * y))
-
-    return result(y, (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
@@ -221,21 +189,6 @@ def softmax_rows(a: Tensor) -> Tensor:
             accumulate(a, y * (g - dot))
 
     return result(y, (a,), backward)
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Columns of a followed by columns of b; gradient splits accordingly."""
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(f"concat_cols: row counts differ, {a.shape} vs {b.shape}")
-    p = a.shape[1]
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            accumulate(a, g[:, :p])
-        if b.requires_grad:
-            accumulate(b, g[:, p:])
-
-    return result(np.hstack([a.data, b.data]), (a, b), backward)
 
 
 def gather_rows(a: Tensor, ids: Sequence[int]) -> Tensor:
@@ -303,19 +256,13 @@ def backward(root: Tensor) -> None:
 
 
 class RmspropState:
-    """RMSprop configuration plus per-parameter squared-gradient accumulators."""
+    """The RMSprop learning rate plus per-parameter squared-gradient
+    accumulators; the decay is RHO and the denominator's floor EPSILON."""
 
-    def __init__(self, learning_rate: float = 1e-3, rho: float = 0.9,
-                 epsilon: float = 1e-8):
+    def __init__(self, learning_rate: float):
         if learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-        if not 0.0 < rho < 1.0:
-            raise ValueError(f"rho must be in (0,1), got {rho}")
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon}")
         self.learning_rate = learning_rate
-        self.rho = rho
-        self.epsilon = epsilon
         # keyed by the tensor itself (tensors hash by identity), which keeps it
         # alive: an id() key could pass a freed tensor's state to a new one
         self._acc: dict[Tensor, np.ndarray] = {}
@@ -329,7 +276,7 @@ class RmspropState:
 
 
 def rmsprop_step(theta: Tensor, state: RmspropState) -> None:
-    """acc <- rho*acc + (1-rho)*grad^2; theta <- theta - lr*grad/sqrt(acc+eps).
+    """acc <- RHO*acc + (1-RHO)*grad^2; theta <- theta - lr*grad/sqrt(acc+EPSILON).
 
     Zeroes theta.grad afterwards.
     """
@@ -337,9 +284,9 @@ def rmsprop_step(theta: Tensor, state: RmspropState) -> None:
         theta.zero_grad()
     g = theta.grad
     acc = state.accumulator(theta)
-    acc *= state.rho
-    acc += (1.0 - state.rho) * g * g
-    theta.data -= state.learning_rate * g / np.sqrt(acc + state.epsilon)
+    acc *= RHO
+    acc += (1.0 - RHO) * g * g
+    theta.data -= state.learning_rate * g / np.sqrt(acc + EPSILON)
     g[:] = 0.0
 
 
@@ -363,14 +310,6 @@ def finite_diff_grad(loss_fn: Callable[[], float], theta: Tensor,
         flat[i] = orig
         out[i] = (up - down) / (2.0 * h)
     return out.reshape(theta.data.shape)
-
-
-def relative_error(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> float:
-    """Max per-coordinate relative error, treating |x| < atol on both sides as 0."""
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), atol)
-    err = np.abs(a - b) / denom
-    err[(np.abs(a) < atol) & (np.abs(b) < atol)] = 0.0
-    return float(err.max()) if err.size else 0.0
 
 
 def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> Tensor:

@@ -51,6 +51,11 @@ class TagScheme:
     _rel_index: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if not self.relations:
+            raise ValueError("relation list is empty")
+        dupes = sorted(r for r, count in Counter(self.relations).items() if count > 1)
+        if dupes:
+            raise ValueError(f"duplicate relations: {dupes}")
         object.__setattr__(self, "_rel_index",
                            {r: i for i, r in enumerate(self.relations)})
 
@@ -85,13 +90,7 @@ class TagScheme:
 
 
 def build_scheme(relations: Sequence[str]) -> TagScheme:
-    rels = tuple(relations)
-    if not rels:
-        raise ValueError("relation list is empty")
-    if len(set(rels)) != len(rels):
-        dupes = sorted({r for r in rels if list(rels).count(r) > 1})
-        raise ValueError(f"duplicate relations: {dupes}")
-    return TagScheme(rels)
+    return TagScheme(tuple(relations))
 
 
 def _span_tags(scheme: TagScheme, span: tuple[int, int], relation: str,
@@ -109,11 +108,15 @@ def encode_tags(n: int, triples: Sequence[Triple], scheme: TagScheme) -> list[in
     """Gold tag sequence for a sentence of n characters.
 
     Raises TagEncodeError when any two entity spans collide (the scheme
-    assigns one tag per character) or a span leaves [0, n).
+    assigns one tag per character), a span leaves [0, n) or a relation is
+    not in the scheme.
     """
     tags = [0] * n
     owner: list[Optional[Triple]] = [None] * n
     for t in triples:
+        if t.relation not in scheme.relations:
+            raise TagEncodeError(
+                f"relation {t.relation!r} of triple {t.key()} is not in the scheme")
         hs, he = t.head_span
         ts, te = t.tail_span
         for (s, e), what in ((t.head_span, "head"), (t.tail_span, "tail")):
@@ -179,8 +182,11 @@ def decode_triples(tags: Sequence[int], text: str,
 
     Per relation, each head mention (in span order) pairs with the nearest
     unpaired tail mention; equal distances break toward the right. Unpaired
-    mentions are discarded.
+    mentions are discarded. Raises ValueError unless there is one tag per
+    character of text.
     """
+    if len(tags) != len(text):
+        raise ValueError(f"{len(tags)} tags for {len(text)} characters")
     mentions = _scan_mentions(tags, scheme)
     out = []
     for relation in scheme.relations:

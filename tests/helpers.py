@@ -1,12 +1,14 @@
-"""Shared test utilities: straight-line references for the encoder and
-decoder recurrences, per-step autodiff oracles for their fused kernels, an
-independent reference tag decoder and a random sentence maker."""
+"""Shared test utilities: the autodiff ops only the oracles use, straight-line
+references for the encoder and decoder recurrences, per-step autodiff oracles
+for their fused kernels, a one-direction GRU node, an independent reference
+tag decoder and a random sentence maker."""
 
 import dataclasses
 
 import numpy as np
 
 from tripletag import numerics as nm
+from tripletag.encoder import GruCell
 from tripletag.numerics import Tensor
 from tripletag.tagging import HEAD, TAIL, Triple
 
@@ -14,6 +16,65 @@ from tripletag.tagging import HEAD, TAIL, Triple
 def named_tensors(p):
     """(field name, tensor) for every field of a parameter dataclass."""
     return [(f.name, getattr(p, f.name)) for f in dataclasses.fields(p)]
+
+
+def relative_error(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> float:
+    """Max per-coordinate relative error, treating |x| < atol on both sides as 0."""
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), atol)
+    err = np.abs(a - b) / denom
+    err[(np.abs(a) < atol) & (np.abs(b) < atol)] = 0.0
+    return float(err.max()) if err.size else 0.0
+
+
+# Elementwise ops that the library no longer composes; the per-step oracles
+# below are built from them.
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise nm.DimensionError(f"sub: shape mismatch {a.shape} vs {b.shape}")
+
+    def backward(g: np.ndarray) -> None:
+        if a.requires_grad:
+            nm.accumulate(a, g)
+        if b.requires_grad:
+            nm.accumulate(b, -g)
+
+    return nm.result(a.data - b.data, (a, b), backward)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    # computed via tanh for stability on large |x|
+    y = 0.5 * (1.0 + np.tanh(0.5 * a.data))
+
+    def backward(g: np.ndarray) -> None:
+        if a.requires_grad:
+            nm.accumulate(a, g * y * (1.0 - y))
+
+    return nm.result(y, (a,), backward)
+
+
+def tanh(a: Tensor) -> Tensor:
+    y = np.tanh(a.data)
+
+    def backward(g: np.ndarray) -> None:
+        if a.requires_grad:
+            nm.accumulate(a, g * (1.0 - y * y))
+
+    return nm.result(y, (a,), backward)
+
+
+def gru_node(X: Tensor, p) -> Tensor:
+    """(n, d) states of one GRU pass over X's rows, as one graph node around
+    `GruCell.run`, so a single direction can be gradient-checked."""
+    cell = GruCell(p)
+    H, back = cell.run(X.data)
+
+    def backward(g: np.ndarray) -> None:
+        dX = back(g)
+        if X.requires_grad:
+            nm.accumulate(X, dX)
+
+    return nm.result(H, (X, *cell.tensors), backward)
 
 
 def np_sigmoid(x):
@@ -85,7 +146,7 @@ def _gate(terms, b):
 
 def _gru_update(z, h_prev, cand):
     ones = Tensor(np.ones(z.shape))
-    return nm.add(nm.mul(nm.sub(ones, z), h_prev), nm.mul(z, cand))
+    return nm.add(nm.mul(sub(ones, z), h_prev), nm.mul(z, cand))
 
 
 def oracle_gru_rows(X, p, reverse=False):
@@ -99,9 +160,9 @@ def oracle_gru_rows(X, p, reverse=False):
     rows = [None] * n
     for t in (range(n - 1, -1, -1) if reverse else range(n)):
         x = nm.gather_rows(X, [t])
-        z = nm.sigmoid(_gate([(x, Wz), (h, Uz)], bz))
-        r = nm.sigmoid(_gate([(x, Wr), (h, Ur)], br))
-        cand = nm.tanh(_gate([(x, W), (nm.mul(r, h), p.U)], b))
+        z = sigmoid(_gate([(x, Wz), (h, Uz)], bz))
+        r = sigmoid(_gate([(x, Wr), (h, Ur)], br))
+        cand = tanh(_gate([(x, W), (nm.mul(r, h), p.U)], b))
         h = _gru_update(z, h, cand)
         rows[t] = h
     return rows
@@ -119,11 +180,11 @@ def oracle_decode_rows(h_stars, p):
     states, labels, probs = [], [], []
     for t in range(h_stars.shape[0]):
         x = nm.gather_rows(h_stars, [t])
-        r = nm.sigmoid(_gate([(x, Wr), (h, Ur), (T, Vr)], br))
-        z = nm.sigmoid(_gate([(x, Wz), (h, Uz), (T, Vz)], bz))
-        cand = nm.tanh(_gate([(x, W), (nm.mul(r, h), p.U), (T, V)], b))
+        r = sigmoid(_gate([(x, Wr), (h, Ur), (T, Vr)], br))
+        z = sigmoid(_gate([(x, Wz), (h, Uz), (T, Vz)], bz))
+        cand = tanh(_gate([(x, W), (nm.mul(r, h), p.U), (T, V)], b))
         h = _gru_update(z, h, cand)
-        T = nm.tanh(nm.add(nm.matmul(h, p.W_T), p.b_T))
+        T = tanh(nm.add(nm.matmul(h, p.W_T), p.b_T))
         states.append(h)
         labels.append(T)
         probs.append(nm.softmax_rows(nm.add(nm.matmul(T, p.W_Y), p.b_Y)))

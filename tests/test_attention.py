@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import relative_error
 from tripletag import numerics as nm
 from tripletag.attention import AttnParams, attend, attention_weights
 from tripletag.numerics import Tensor
@@ -45,7 +46,7 @@ class TestAttend:
 
     def test_matrix_form_equals_summation_form(self):
         rng = np.random.default_rng(2)
-        p = AttnParams.init(rng, 6, d_k=4)
+        p = AttnParams.init(rng, 6)
         H = rng.uniform(-2, 2, (5, 6))
         np.testing.assert_allclose(attend(Tensor(H), p).data,
                                    summation_form(H, p), atol=1e-12)
@@ -88,7 +89,7 @@ class TestAttend:
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
-    p = AttnParams.init(rng, 3, d_k=3)
+    p = AttnParams.init(rng, 3)
     H = rng.uniform(-1, 1, (4, 3))
     mask = np.sin(np.arange(12)).reshape(4, 3)
 
@@ -98,4 +99,4 @@ def test_gradients_match_finite_differences():
     nm.backward(nm.sum_all(nm.mul(attend(Tensor(H), p), Tensor(mask))))
     for name, theta in (("W_Q", p.W_Q), ("W_K", p.W_K), ("W_V", p.W_V)):
         fd = nm.finite_diff_grad(loss, theta, h=1e-5)
-        assert nm.relative_error(theta.grad, fd) < 1e-4, name
+        assert relative_error(theta.grad, fd) < 1e-4, name

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import named_tensors, reference_decode_rollout
+from helpers import named_tensors, reference_decode_rollout, relative_error
 from tripletag import numerics as nm
 from tripletag.decoder import (
     DecoderParams, decode_sequence, label_feedback_sequence, tag_distribution)
@@ -181,7 +181,7 @@ def test_label_feedback_carries_gradient_across_steps():
         fd = nm.finite_diff_grad(step2_loss, theta, h=1e-5)
         for gate, block in enumerate(np.hsplit(fd, gates)):
             assert np.any(np.abs(block) > 1e-8), (name, gate)
-        assert nm.relative_error(theta.grad, fd) < 1e-4, name
+        assert relative_error(theta.grad, fd) < 1e-4, name
 
 
 def test_full_decoder_gradients_match_finite_differences():
@@ -198,7 +198,7 @@ def test_full_decoder_gradients_match_finite_differences():
     nm.backward(nm.sum_all(nm.mul(probs, Tensor(mask))))
     for name, theta in named_tensors(p):
         fd = nm.finite_diff_grad(loss, theta, h=1e-5)
-        assert nm.relative_error(theta.grad, fd) < 1e-4, name
+        assert relative_error(theta.grad, fd) < 1e-4, name
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -216,4 +216,4 @@ def test_decoder_input_and_parameter_gradients_match_finite_differences(n):
     nm.backward(nm.sum_all(nm.mul(probs, Tensor(mask))))
     for name, theta in [("h_stars", Hstar)] + named_tensors(p):
         fd = nm.finite_diff_grad(loss, theta, h=1e-5)
-        assert nm.relative_error(theta.grad, fd) < 1e-4, name
+        assert relative_error(theta.grad, fd) < 1e-4, name

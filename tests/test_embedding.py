@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import relative_error
 from tripletag import embedding, numerics as nm
 from tripletag.embedding import (
     CharVocab, EmbedParams, WordLexicon, WordVectorParseError,
@@ -61,6 +62,13 @@ class TestLoadWordVectors:
         p.write_text(body)
         with pytest.raises(WordVectorParseError,
                            match=f"^line {last_line}: file ends after"):
+            load_word_vectors(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_component_names_line(self, tmp_path, value):
+        p = tmp_path / "vec.txt"
+        p.write_text(f"2 2\nok 1 2\nab {value} 1\n")
+        with pytest.raises(WordVectorParseError, match="^line 3: non-finite"):
             load_word_vectors(p)
 
     def test_duplicate_last_wins_with_warning(self, tmp_path):
@@ -137,10 +145,9 @@ class TestMixEmbed:
         out = mix_embed("ab", vocab, lx, p)
         np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
 
-    @pytest.mark.parametrize("with_lexicon", [True, False])
-    def test_empty_text_rejected(self, with_lexicon):
+    def test_empty_text_rejected(self):
         vocab = CharVocab("ab")
-        lx = lex({"ab": [1.0, 2.0]}) if with_lexicon else None
+        lx = lex({"ab": [1.0, 2.0]})
         with pytest.raises(ValueError, match="text is empty"):
             mix_embed("", vocab, lx, self.make(vocab, 2, 3))
 
@@ -171,13 +178,6 @@ class TestMixEmbed:
         for text in ("a", "abc", "abcdef", "zzz"):
             assert mix_embed(text, vocab, lx, p).shape == (len(text), 3)
 
-    def test_no_lexicon_is_char_only(self):
-        vocab = CharVocab("ab")
-        p = EmbedParams.init(np.random.default_rng(3), len(vocab), 3, None)
-        out = mix_embed("ab", vocab, None, p)
-        np.testing.assert_array_equal(
-            out.data, p.char_table.data[[1, 2], :])
-
     def test_gradients_reach_table_and_projection_not_lexicon(self):
         vocab = CharVocab("xy")
         vec = np.array([1.0, 2.0])
@@ -204,7 +204,7 @@ class TestMixEmbed:
         nm.backward(nm.sum_all(nm.mul(out, Tensor(w))))
         for theta in (p.char_table, p.projection):
             fd = nm.finite_diff_grad(loss, theta, h=1e-5)
-            assert nm.relative_error(theta.grad, fd) < 1e-4
+            assert relative_error(theta.grad, fd) < 1e-4
 
     def test_repeated_and_oov_chars_gradient(self):
         # 'p' three times, 'z' out of vocabulary (UNK row 0); 'r' and 's' absent
@@ -221,7 +221,7 @@ class TestMixEmbed:
         nm.backward(nm.sum_all(nm.mul(out, Tensor(w))))
         for theta in (p.char_table, p.projection):
             fd = nm.finite_diff_grad(loss, theta, h=1e-5)
-            assert nm.relative_error(theta.grad, fd) < 1e-4
+            assert relative_error(theta.grad, fd) < 1e-4
         absent = [vocab.id_of("r"), vocab.id_of("s")]
         np.testing.assert_array_equal(p.char_table.grad[absent], 0.0)
         assert np.all(p.char_table.grad[[0, 1, 2]] != 0)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gate_blocks, named_tensors, reference_gru_sequence
+from helpers import (
+    gate_blocks, named_tensors, reference_gru_sequence, relative_error, sigmoid)
 from tripletag import numerics as nm
-from tripletag.encoder import BiGruParams, GruParams, encode, gru_sequence
+from tripletag.encoder import BiGruParams, GruCell, GruParams, encode
 from tripletag.numerics import Tensor
 
 
@@ -19,36 +20,36 @@ def zero_gru(m_in, d):
 class TestGruStep:
     def test_all_zero_params_keep_zero_state(self):
         p = zero_gru(3, 2)
-        h = gru_sequence(Tensor([[1.0, -1.0, 2.0]]), p)
-        np.testing.assert_array_equal(h.data, [[0.0, 0.0]])
+        h = GruCell(p).run(np.array([[1.0, -1.0, 2.0]]))[0]
+        np.testing.assert_array_equal(h, [[0.0, 0.0]])
 
     def test_scalar_hand_case(self):
         # z = sigmoid(0) = 0.5, candidate = tanh(1), h = 0.5*tanh(1)
         p = zero_gru(1, 1)
         p.W.data[0, 2] = 1.0  # candidate column (z | r | c)
         p.W.data[0, 1] = 0.7  # reset column: r is irrelevant with h_prev = 0
-        h = gru_sequence(Tensor([[1.0]]), p)
-        assert abs(h.item() - 0.5 * math.tanh(1.0)) < 1e-12
-        assert abs(h.item() - 0.380797) < 1e-6
+        h = GruCell(p).run(np.array([[1.0]]))[0].item()
+        assert abs(h - 0.5 * math.tanh(1.0)) < 1e-12
+        assert abs(h - 0.380797) < 1e-6
 
     def test_matches_straight_line_reference(self):
         rng = np.random.default_rng(1)
         p = GruParams.init(rng, 4, 3)
         E = rng.uniform(-2, 2, (6, 4))
         want = reference_gru_sequence(E, p)
-        h = gru_sequence(Tensor(E), p)
+        h = GruCell(p).run(E)[0]
         for t in range(6):
-            np.testing.assert_allclose(h.data[t], want[t], atol=1e-12)
+            np.testing.assert_allclose(h[t], want[t], atol=1e-12)
 
     def test_dimension_mismatch(self):
         p = GruParams.init(np.random.default_rng(2), 4, 3)
         with pytest.raises(nm.DimensionError):
-            gru_sequence(Tensor([[1.0, 2.0]]), p)
+            GruCell(p).run(np.array([[1.0, 2.0]]))
 
     def test_empty_sequence_rejected(self):
         p = GruParams.init(np.random.default_rng(2), 4, 3)
         with pytest.raises(nm.DimensionError):
-            gru_sequence(Tensor(np.zeros((0, 4))), p)
+            GruCell(p).run(np.zeros((0, 4)))
 
 
 def test_init_packs_per_gate_draws_in_order():
@@ -72,10 +73,9 @@ class TestEncode:
         p = BiGruParams.init(rng, 4, 3)
         E = Tensor(rng.uniform(-1, 1, (1, 4)))
         out = encode(E, p)
-        f = gru_sequence(E, p.forward)
-        b = gru_sequence(E, p.backward)
-        np.testing.assert_allclose(out.data, np.hstack([f.data, b.data]),
-                                   atol=1e-15)
+        f = GruCell(p.forward).run(E.data)[0]
+        b = GruCell(p.backward).run(E.data)[0]
+        np.testing.assert_allclose(out.data, np.hstack([f, b]), atol=1e-15)
 
     def test_matches_two_unidirectional_passes(self):
         rng = np.random.default_rng(4)
@@ -116,9 +116,9 @@ def test_hidden_states_bounded_with_zero_init(seed):
     for _, t in named_tensors(p):
         t.data *= 4.0  # exaggerate weights; boundedness must still hold
     E = rng.uniform(-3, 3, (12, 4))
-    h = gru_sequence(Tensor(E), p)
+    h = GruCell(p).run(E)[0]
     for t in range(12):
-        assert np.all(np.abs(h.data[t]) < 1.0)
+        assert np.all(np.abs(h[t]) < 1.0)
 
 
 def test_gate_outputs_in_open_unit_interval():
@@ -128,8 +128,8 @@ def test_gate_outputs_in_open_unit_interval():
     W_z, W_r, _ = gate_blocks(p.W, 3)
     U_z, U_r = gate_blocks(p.U_zr, 2)
     b_z, b_r, _ = gate_blocks(p.b, 3)
-    z = nm.sigmoid(nm.add(nm.add(nm.matmul(w, W_z), nm.matmul(h, U_z)), b_z))
-    r = nm.sigmoid(nm.add(nm.add(nm.matmul(w, W_r), nm.matmul(h, U_r)), b_r))
+    z = sigmoid(nm.add(nm.add(nm.matmul(w, W_z), nm.matmul(h, U_z)), b_z))
+    r = sigmoid(nm.add(nm.add(nm.matmul(w, W_r), nm.matmul(h, U_r)), b_r))
     for g in (z.data, r.data):
         assert np.all((g > 0.0) & (g < 1.0))
 
@@ -148,7 +148,7 @@ def test_encode_gradients_match_finite_differences():
     for side in (p.forward, p.backward):
         for name, theta in named_tensors(side):
             fd = nm.finite_diff_grad(loss, theta, h=1e-5)
-            assert nm.relative_error(theta.grad, fd) < 1e-4, name
+            assert relative_error(theta.grad, fd) < 1e-4, name
 
 
 # the gate column blocks of each packed field, and those that act on h alone
@@ -182,4 +182,4 @@ def test_encode_input_and_parameter_gradients_match_finite_differences(n):
                 assert not grad.any(), (name, gate)
             else:
                 assert np.any(np.abs(fd_block) > 1e-8), (name, gate)
-        assert nm.relative_error(theta.grad, fd) < 1e-4, name
+        assert relative_error(theta.grad, fd) < 1e-4, name

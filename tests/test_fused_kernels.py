@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    named_tensors, oracle_decode_rows, oracle_gru_rows, reference_decode_rollout,
-    reference_gru_sequence, weighted_row_sum)
+    gru_node, named_tensors, oracle_decode_rows, oracle_gru_rows,
+    reference_decode_rollout, reference_gru_sequence, weighted_row_sum)
 from tripletag import numerics as nm
 from tripletag.attention import AttnParams, attend
 from tripletag.decoder import DecoderParams, decode_sequence
-from tripletag.encoder import BiGruParams, GruParams, encode, gru_sequence
+from tripletag.encoder import BiGruParams, GruParams, encode
 from tripletag.numerics import Tensor
 
 ATOL = 1e-12
@@ -41,9 +41,9 @@ def check_gru_sequence(rng, n, m, d):
     p = GruParams.init(rng, m, d)
     X = Tensor(rng.uniform(-2, 2, (n, m)), requires_grad=True)
     w = rng.uniform(-1, 1, (n, d))
-    np.testing.assert_allclose(gru_sequence(X, p).data,
+    np.testing.assert_allclose(gru_node(X, p).data,
                                reference_gru_sequence(X.data, p), rtol=0, atol=ATOL)
-    assert_same_gradients(lambda: weighted(gru_sequence(X, p), w),
+    assert_same_gradients(lambda: weighted(gru_node(X, p), w),
                           lambda: weighted_row_sum(oracle_gru_rows(X, p), w),
                           [("X", X)] + named_tensors(p))
 
@@ -132,6 +132,14 @@ def test_graph_size_does_not_grow_with_sentence_length():
         _, probs = decode_sequence(attend(encode(E, enc), att), dec)
         counts.append(graph_nodes(probs))
     assert counts[0] == counts[1] == counts[2], counts
+
+
+def test_encode_is_one_node_above_its_input():
+    rng = np.random.default_rng(4)
+    E = Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
+    out = encode(E, BiGruParams.init(rng, 3, 2))
+    assert graph_nodes(out) == 1
+    assert out._parents[0] is E
 
 
 @pytest.mark.parametrize("width", [2, 4])

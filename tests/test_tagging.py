@@ -33,6 +33,12 @@ class TestScheme:
         with pytest.raises(ValueError):
             build_scheme([])
 
+    @pytest.mark.parametrize("relations", [(), ("a", "a"), ("a", "b", "a")],
+                             ids=["empty", "adjacent", "apart"])
+    def test_direct_construction_checked(self, relations):
+        with pytest.raises(ValueError, match="empty|duplicate"):
+            tagging.TagScheme(relations)
+
     def test_id_info_bijection(self):
         scheme = build_scheme(["a", "b", "c"])
         seen = set()
@@ -45,6 +51,11 @@ class TestScheme:
 
 
 class TestEncode:
+    def test_relation_outside_scheme_rejected(self):
+        scheme = build_scheme(["r"])
+        with pytest.raises(TagEncodeError, match="'s'"):
+            encode_tags(5, [Triple("a", (0, 1), "c", (2, 3), "s")], scheme)
+
     def test_no_triples_all_other(self):
         scheme = build_scheme(["r"])
         assert encode_tags(5, [], scheme) == [0] * 5
@@ -111,6 +122,14 @@ class TestDecode:
         # tails at 0 and 4, head at 2: both at distance 1 -> pick position 4
         out = decode_triples([s2, 0, s1, 0, s2], "abcde", scheme)
         assert out == [Triple("c", (2, 3), "e", (4, 5), "r")]
+
+    @pytest.mark.parametrize("n_tags", [2, 4])
+    def test_tag_count_must_match_text(self, n_tags):
+        scheme = build_scheme(["r"])
+        s1, s2 = scheme.tag_id("S", "r", 1), scheme.tag_id("S", "r", 2)
+        tags = ([s1, s2] + [0] * n_tags)[:n_tags]
+        with pytest.raises(ValueError, match=f"{n_tags} tags for 3 characters"):
+            decode_triples(tags, "abc", scheme)
 
     def test_unpaired_mentions_discarded(self):
         scheme = build_scheme(["r"])
