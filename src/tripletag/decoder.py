@@ -93,13 +93,10 @@ def label_feedback_sequence(h_stars: Tensor, p: DecoderParams) -> Tensor:
             DT[t] *= g[t] + dT
             dh = cell.step_back(dh + DT[t] @ W_T.T, S[t], DA[t])
             dT = DA[t] @ V.T
-        dX = cell.accumulate_grads(h_stars.data, H[:-1], G, DA)
-        if h_stars.requires_grad:
-            nm.accumulate(h_stars, dX)
+        nm.accumulate(h_stars, cell.accumulate_grads(h_stars.data, H[:-1], G, DA))
         grads = (T[:-1].T @ DA, H[1:].T @ DT, DT.sum(axis=0, keepdims=True))
         for theta, grad in zip((p.V, p.W_T, p.b_T), grads):
-            if theta.requires_grad:
-                nm.accumulate(theta, grad)
+            nm.accumulate(theta, grad)
 
     return nm.result(T[1:], (h_stars, *cell.tensors, p.V, p.W_T, p.b_T), backward)
 

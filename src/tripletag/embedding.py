@@ -6,6 +6,9 @@ projected into the character dimension. The per-character mixed vector is the
 sum of the two, so the word lexicon and its projection are required. Words
 come from a plain-text vector file and are never updated; characters outside
 the vocabulary map to the reserved UNK id 0.
+
+`mix_embed` is one autodiff node: a gather of character-table rows plus one
+matmul with the projection, whose backward touches the gathered rows only.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ from . import numerics as nm
 from .numerics import Tensor
 
 UNK = "<unk>"
+# words per np.isfinite call in WordLexicon: a call per word costs ~50 ms on a
+# 20k-word lexicon, one call on all rows stacked holds a second copy of them
+FINITE_CHECK_WORDS = 256
 
 
 class WordVectorParseError(ValueError):
@@ -51,7 +57,7 @@ class CharVocab:
 
 
 class WordLexicon:
-    """word -> frozen pretrained vector, all of one dimension."""
+    """word -> frozen pretrained vector, all of one dimension and finite."""
 
     def __init__(self, vectors: dict[str, np.ndarray]):
         if not vectors:
@@ -66,6 +72,11 @@ class WordLexicon:
             arr = np.asarray(v, dtype=np.float64).copy()
             arr.flags.writeable = False
             self._vec[w] = arr
+        rows = list(self._vec.values())
+        for i in range(0, len(rows), FINITE_CHECK_WORDS):
+            if not np.isfinite(np.concatenate(rows[i : i + FINITE_CHECK_WORDS])).all():
+                bad = next(w for w, v in self._vec.items() if not np.isfinite(v).all())
+                raise ValueError(f"non-finite component in the vector of {bad!r}")
         self.dim = next(iter(self._vec.values())).shape[0]
         self.max_word_len = max(len(w) for w in self._vec)
 
@@ -193,12 +204,23 @@ def mix_embed(text: str, vocab: CharVocab, lexicon: WordLexicon,
     The word vector of a k-character segment contributes identically to all k
     rows; segments without a lexicon vector contribute zero. Gradients reach
     char_table and projection only; lexicon vectors stay fixed. Empty text
-    raises ValueError("text is empty") from `segment`.
+    raises ValueError("text is empty") from `segment`, and a character id
+    outside char_table raises DimensionError (a ValueError).
     """
     word_mat = np.zeros((len(text), lexicon.dim))
     for seg in segment(text, lexicon):
         vec = lexicon.get(seg.word)
         if vec is not None:
             word_mat[seg.start : seg.start + seg.length, :] = vec
-    chars = nm.gather_rows(params.char_table, vocab.ids(text))
-    return nm.add(chars, nm.matmul(Tensor(word_mat), params.projection))
+    ids = vocab.ids(text)
+    table, projection = params.char_table, params.projection
+    if max(ids) >= table.shape[0]:
+        raise nm.DimensionError(f"mix_embed: char id {max(ids)} outside char_table")
+
+    def backward(g: np.ndarray) -> None:
+        if table.requires_grad:
+            np.add.at(table.grad, ids, g)  # ids may repeat; O(n * m), not O(V * m)
+        nm.accumulate(projection, word_mat.T @ g)
+
+    return nm.result(table.data[ids] + word_mat @ projection.data,
+                     (table, projection), backward)

@@ -65,10 +65,6 @@ class BiGruParams:
         return cls(forward=GruParams.init(rng, m_in, d_enc),
                    backward=GruParams.init(rng, m_in, d_enc))
 
-    @property
-    def hidden_size(self) -> int:
-        return self.forward.hidden_size
-
 
 class GruCell:
     """The GRU cell in numpy, reading a parameter set's packed z | r | c
@@ -139,8 +135,7 @@ class GruCell:
                  (G[:, d : 2 * d] * H_prev).T @ DA[:, 2 * d :],
                  DA.sum(axis=0, keepdims=True))
         for t, g in zip(self.tensors, grads):
-            if t.requires_grad:
-                nm.accumulate(t, g)
+            nm.accumulate(t, g)
         return DA @ self.W.T
 
     def run(self, X: np.ndarray
@@ -181,9 +176,7 @@ def encode(E: Tensor, p: BiGruParams) -> Tensor:
     d = fwd.d
 
     def backward(g: np.ndarray) -> None:
-        dE = back_f(g[:, :d]) + back_b(g[::-1, d:])[::-1]
-        if E.requires_grad:
-            nm.accumulate(E, dE)
+        nm.accumulate(E, back_f(g[:, :d]) + back_b(g[::-1, d:])[::-1])
 
     return nm.result(np.hstack([H_f, H_b[::-1]]), (E, *fwd.tensors, *bwd.tensors),
                      backward)

@@ -1,15 +1,15 @@
 """Minimal dense-tensor kernel with reverse-mode autodiff and RMSprop.
 
 Everything the tagging model needs and nothing more: 2-D float64 tensors,
-the ops the layers and the loss compose (matmul, add, mul, clamped log,
-scale, sum_all, row softmax, row gather, transpose), gradient accumulation
-via a recorded graph, the RMSprop update, and a central finite-difference
-oracle for checking all of the above.
+the ops attention and the loss compose (matmul, add, mul, clamped log, scale,
+sum_all, row softmax, transpose), gradient accumulation via a recorded graph,
+and the RMSprop update.
 
-Layers with a fused kernel (the GRU recurrences in ``encoder`` and
-``decoder``) build their own one-node ops from ``result`` and ``accumulate``:
-the kernel computes its output in numpy and hands ``result`` a backward
-closure that accumulates every input's gradient at once.
+Layers with a fused kernel (the mixed embedding and the GRU recurrences)
+build their own one-node ops from ``result`` and ``accumulate``: the kernel
+computes its output in numpy and hands ``result`` a backward closure that
+accumulates every input's gradient at once. ``accumulate`` is the one gradient
+gate: it skips tensors without ``requires_grad``, so closures call it for all.
 
 Conventions: tensors are 2-D; "vectors" are row vectors of shape (1, d).
 Gradients accumulate additively; callers zero them between steps. No
@@ -63,10 +63,10 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
+        if self.grad is None:
+            accumulate(self, np.zeros_like(self.data))
+        else:
             self.grad[:] = 0.0
-        elif self.requires_grad:
-            self.grad = np.zeros_like(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -77,7 +77,7 @@ def result(data: np.ndarray, parents: Sequence[Tensor],
     """An op's output tensor; it joins the graph when any parent needs a grad.
 
     ``backward`` receives the output's gradient and must ``accumulate`` into
-    every parent that requires one.
+    every parent.
     """
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
@@ -88,7 +88,9 @@ def result(data: np.ndarray, parents: Sequence[Tensor],
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t.grad, allocating it on first use."""
+    """Add g into t.grad, allocated on first use, if t requires a gradient."""
+    if not t.requires_grad:
+        return
     if t.grad is None:
         t.grad = g.copy()
     else:
@@ -102,10 +104,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            accumulate(b, a.data.T @ g)
+        accumulate(a, g @ b.data.T)
+        accumulate(b, a.data.T @ g)
 
     return result(out_data, (a, b), backward)
 
@@ -121,10 +121,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            accumulate(a, g)
-        if b.requires_grad:
-            accumulate(b, g if b.shape == g.shape else g.sum(axis=0, keepdims=True))
+        accumulate(a, g)
+        accumulate(b, g if b.shape == g.shape else g.sum(axis=0, keepdims=True))
 
     return result(out_data, (a, b), backward)
 
@@ -135,10 +133,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"mul: shape mismatch {a.shape} vs {b.shape}")
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            accumulate(a, g * b.data)
-        if b.requires_grad:
-            accumulate(b, g * a.data)
+        accumulate(a, g * b.data)
+        accumulate(b, g * a.data)
 
     return result(a.data * b.data, (a, b), backward)
 
@@ -149,9 +145,8 @@ def log(a: Tensor) -> Tensor:
     y = np.log(clamped)
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            # zero gradient where the floor is active
-            accumulate(a, g * (a.data > LOG_FLOOR) / clamped)
+        # zero gradient where the floor is active
+        accumulate(a, g * (a.data > LOG_FLOOR) / clamped)
 
     return result(y, (a,), backward)
 
@@ -161,8 +156,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            accumulate(a, g * c)
+        accumulate(a, g * c)
 
     return result(a.data * c, (a,), backward)
 
@@ -171,8 +165,7 @@ def sum_all(a: Tensor) -> Tensor:
     """Sum over all entries, yielding a (1,1) scalar tensor."""
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            accumulate(a, np.full_like(a.data, g.reshape(-1)[0]))
+        accumulate(a, np.full_like(a.data, g.reshape(-1)[0]))
 
     return result(np.array([[a.data.sum()]]), (a,), backward)
 
@@ -184,41 +177,15 @@ def softmax_rows(a: Tensor) -> Tensor:
     y = e / e.sum(axis=1, keepdims=True)
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            dot = (g * y).sum(axis=1, keepdims=True)
-            accumulate(a, y * (g - dot))
+        dot = (g * y).sum(axis=1, keepdims=True)
+        accumulate(a, y * (g - dot))
 
     return result(y, (a,), backward)
 
 
-def gather_rows(a: Tensor, ids: Sequence[int]) -> Tensor:
-    """Rows a[ids] as a (len(ids), d) tensor; ids may repeat.
-
-    The backward scatter-adds into the gathered rows of a.grad only, so its
-    cost is O(len(ids) * d) whatever the size of a.
-    """
-    idx = np.asarray(ids)
-    if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
-        raise DimensionError(
-            f"gather_rows: ids must be a non-empty 1-D integer list, got {ids!r}")
-    listed = idx.tolist()  # Python min/max: cheaper than numpy's on the one-id slices
-    if min(listed) < 0 or max(listed) >= a.shape[0]:
-        raise DimensionError(
-            f"gather_rows: ids out of range [0, {a.shape[0]}): {ids!r}")
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, g)
-
-    return result(a.data.take(idx, axis=0), (a,), backward)
-
-
 def transpose(a: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            accumulate(a, g.T)
+        accumulate(a, g.T)
 
     return result(a.data.T.copy(), (a,), backward)
 
@@ -251,7 +218,7 @@ def backward(root: Tensor) -> None:
 
     accumulate(root, np.ones_like(root.data))
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+        if node._backward is not None:
             node._backward(node.grad)
 
 
@@ -288,28 +255,6 @@ def rmsprop_step(theta: Tensor, state: RmspropState) -> None:
     acc += (1.0 - RHO) * g * g
     theta.data -= state.learning_rate * g / np.sqrt(acc + EPSILON)
     g[:] = 0.0
-
-
-def finite_diff_grad(loss_fn: Callable[[], float], theta: Tensor,
-                     h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of loss_fn w.r.t. every entry of theta.
-
-    loss_fn must be a deterministic function of theta.data (re-run per probe).
-    Returns an array of theta's shape; does not touch theta.grad.
-    """
-    if h <= 0:
-        raise ValueError(f"h must be > 0, got {h}")
-    flat = theta.data.reshape(-1)
-    out = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up = loss_fn()
-        flat[i] = orig - h
-        down = loss_fn()
-        flat[i] = orig
-        out[i] = (up - down) / (2.0 * h)
-    return out.reshape(theta.data.shape)
 
 
 def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> Tensor:

@@ -14,7 +14,7 @@ disjoint and which carry at most one triple per relation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 POSITIONS = ("B", "I", "E", "S")
@@ -48,7 +48,6 @@ class TagScheme:
     """
 
     relations: tuple[str, ...]
-    _rel_index: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.relations:
@@ -56,8 +55,6 @@ class TagScheme:
         dupes = sorted(r for r, count in Counter(self.relations).items() if count > 1)
         if dupes:
             raise ValueError(f"duplicate relations: {dupes}")
-        object.__setattr__(self, "_rel_index",
-                           {r: i for i, r in enumerate(self.relations)})
 
     @property
     def k(self) -> int:
@@ -65,7 +62,7 @@ class TagScheme:
 
     def tag_id(self, position: str, relation: str, role: int) -> int:
         p = POSITIONS.index(position)
-        r = self._rel_index[relation]
+        r = self.relations.index(relation)
         return 1 + p * 2 * len(self.relations) + r * 2 + (role - 1)
 
     def tag_info(self, tag_id: int) -> Optional[tuple[str, str, int]]:

@@ -1,13 +1,16 @@
-"""Shared test utilities: the autodiff ops only the oracles use, straight-line
-references for the encoder and decoder recurrences, per-step autodiff oracles
-for their fused kernels, a one-direction GRU node, an independent reference
-tag decoder and a random sentence maker."""
+"""Shared test utilities: the finite-difference gradient oracle, the autodiff
+ops only the oracles use, straight-line references for the embedding and the
+encoder and decoder recurrences, autodiff oracles for their fused kernels, a
+one-direction GRU node, an independent reference tag decoder and a random
+sentence maker."""
 
 import dataclasses
+from typing import Callable
 
 import numpy as np
 
 from tripletag import numerics as nm
+from tripletag.embedding import segment
 from tripletag.encoder import GruCell
 from tripletag.numerics import Tensor
 from tripletag.tagging import HEAD, TAIL, Triple
@@ -16,6 +19,28 @@ from tripletag.tagging import HEAD, TAIL, Triple
 def named_tensors(p):
     """(field name, tensor) for every field of a parameter dataclass."""
     return [(f.name, getattr(p, f.name)) for f in dataclasses.fields(p)]
+
+
+def finite_diff_grad(loss_fn: Callable[[], float], theta: Tensor,
+                     h: float = 1e-5) -> np.ndarray:
+    """Central finite differences of loss_fn w.r.t. every entry of theta.
+
+    loss_fn must be a deterministic function of theta.data (re-run per probe).
+    Returns an array of theta's shape; does not touch theta.grad.
+    """
+    if h <= 0:
+        raise ValueError(f"h must be > 0, got {h}")
+    flat = theta.data.reshape(-1)
+    out = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss_fn()
+        flat[i] = orig - h
+        down = loss_fn()
+        flat[i] = orig
+        out[i] = (up - down) / (2.0 * h)
+    return out.reshape(theta.data.shape)
 
 
 def relative_error(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> float:
@@ -34,10 +59,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise nm.DimensionError(f"sub: shape mismatch {a.shape} vs {b.shape}")
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            nm.accumulate(a, g)
-        if b.requires_grad:
-            nm.accumulate(b, -g)
+        nm.accumulate(a, g)
+        nm.accumulate(b, -g)
 
     return nm.result(a.data - b.data, (a, b), backward)
 
@@ -47,8 +70,7 @@ def sigmoid(a: Tensor) -> Tensor:
     y = 0.5 * (1.0 + np.tanh(0.5 * a.data))
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            nm.accumulate(a, g * y * (1.0 - y))
+        nm.accumulate(a, g * y * (1.0 - y))
 
     return nm.result(y, (a,), backward)
 
@@ -57,8 +79,7 @@ def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            nm.accumulate(a, g * (1.0 - y * y))
+        nm.accumulate(a, g * (1.0 - y * y))
 
     return nm.result(y, (a,), backward)
 
@@ -70,9 +91,7 @@ def gru_node(X: Tensor, p) -> Tensor:
     H, back = cell.run(X.data)
 
     def backward(g: np.ndarray) -> None:
-        dX = back(g)
-        if X.requires_grad:
-            nm.accumulate(X, dX)
+        nm.accumulate(X, back(g))
 
     return nm.result(H, (X, *cell.tensors), backward)
 
@@ -99,6 +118,22 @@ def reference_gru_sequence(E, p):
     return np.array(out)
 
 
+def word_matrix(text, lexicon):
+    """(n, d_w) rows: each character's segment's word vector, or zeros."""
+    rows = []
+    for seg in segment(text, lexicon):
+        vec = lexicon.get(seg.word)
+        rows += [np.zeros(lexicon.dim) if vec is None else vec] * seg.length
+    return np.array(rows)
+
+
+def reference_mix_embed(text, vocab, lexicon, p):
+    """Straight-line numpy mixed embedding, one character at a time."""
+    words = word_matrix(text, lexicon)
+    return np.array([p.char_table.data[vocab.id_of(c)] + words[i] @ p.projection.data
+                     for i, c in enumerate(text)])
+
+
 def reference_decode_rollout(Hstar, p):
     """Straight-line numpy re-implementation of the full decode recurrence."""
     Wz, Wr, W = np.hsplit(p.W.data, 3)
@@ -123,9 +158,25 @@ def reference_decode_rollout(Hstar, p):
     return states, np.array(probs)
 
 
-# Per-step autodiff compositions of both recurrences: one small graph per
-# character, built from the numerics ops. They are the gradient oracles for
-# the fused one-node kernels and share no code with them.
+# Autodiff compositions of the fused kernels, built from the numerics ops:
+# the embedding from a selector product, each recurrence as one small graph
+# per character. They are the gradient oracles for the one-node kernels and
+# share no code with them.
+
+def oracle_mix_embed(text, vocab, lexicon, p):
+    """The mixed embedding as a graph composition: char-table rows picked by a
+    constant one-hot selector product, plus the word rows times the
+    projection."""
+    onehot = np.eye(p.char_table.shape[0])[vocab.ids(text)]
+    return nm.add(nm.matmul(Tensor(onehot), p.char_table),
+                  nm.matmul(Tensor(word_matrix(text, lexicon)), p.projection))
+
+
+def row(X, t):
+    """Row t of X as a (1, d) graph node: the product with a constant 0/1 row
+    selector, so gradients flow back into X."""
+    return nm.matmul(Tensor(np.eye(X.shape[0])[t : t + 1]), X)
+
 
 def gate_blocks(t, count):
     """The `count` equal column blocks of a packed tensor, left to right, as
@@ -159,7 +210,7 @@ def oracle_gru_rows(X, p, reverse=False):
     h = Tensor(np.zeros((1, p.hidden_size)))
     rows = [None] * n
     for t in (range(n - 1, -1, -1) if reverse else range(n)):
-        x = nm.gather_rows(X, [t])
+        x = row(X, t)
         z = sigmoid(_gate([(x, Wz), (h, Uz)], bz))
         r = sigmoid(_gate([(x, Wr), (h, Ur)], br))
         cand = tanh(_gate([(x, W), (nm.mul(r, h), p.U)], b))
@@ -179,7 +230,7 @@ def oracle_decode_rows(h_stars, p):
     T = Tensor(np.zeros((1, p.label_width)))
     states, labels, probs = [], [], []
     for t in range(h_stars.shape[0]):
-        x = nm.gather_rows(h_stars, [t])
+        x = row(h_stars, t)
         r = sigmoid(_gate([(x, Wr), (h, Ur), (T, Vr)], br))
         z = sigmoid(_gate([(x, Wz), (h, Uz), (T, Vz)], bz))
         cand = tanh(_gate([(x, W), (nm.mul(r, h), p.U), (T, V)], b))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import relative_error
+from helpers import finite_diff_grad, relative_error
 from tripletag import numerics as nm
 from tripletag.attention import AttnParams, attend, attention_weights
 from tripletag.numerics import Tensor
@@ -98,5 +98,5 @@ def test_gradients_match_finite_differences():
 
     nm.backward(nm.sum_all(nm.mul(attend(Tensor(H), p), Tensor(mask))))
     for name, theta in (("W_Q", p.W_Q), ("W_K", p.W_K), ("W_V", p.W_V)):
-        fd = nm.finite_diff_grad(loss, theta, h=1e-5)
+        fd = finite_diff_grad(loss, theta, h=1e-5)
         assert relative_error(theta.grad, fd) < 1e-4, name

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import named_tensors, reference_decode_rollout, relative_error
+from helpers import (
+    finite_diff_grad, named_tensors, reference_decode_rollout, relative_error, row)
 from tripletag import numerics as nm
 from tripletag.decoder import (
     DecoderParams, decode_sequence, label_feedback_sequence, tag_distribution)
@@ -123,9 +124,9 @@ class TestDecodeSequence:
         ids, probs = decode_sequence(Tensor(Hstar), p)
         T = label_feedback_sequence(Tensor(Hstar), p)
         for t in range(4):
-            row = tag_distribution(nm.gather_rows(T, [t]), p)
-            np.testing.assert_allclose(probs.data[t], row.data[0], atol=1e-15)
-            assert ids[t] == int(np.argmax(row.data[0]))
+            row_t = tag_distribution(row(T, t), p)
+            np.testing.assert_allclose(probs.data[t], row_t.data[0], atol=1e-15)
+            assert ids[t] == int(np.argmax(row_t.data[0]))
 
     def test_matches_reference_rollout(self):
         rng = np.random.default_rng(5)
@@ -175,10 +176,10 @@ def test_label_feedback_carries_gradient_across_steps():
         return float((probs.data[1:2] * mask).sum())
 
     _, probs = decode_sequence(Tensor(Hstar), p)
-    nm.backward(nm.sum_all(nm.mul(nm.gather_rows(probs, [1]), Tensor(mask))))
+    nm.backward(nm.sum_all(nm.mul(row(probs, 1), Tensor(mask))))
     for name, gates in (("V", 3), ("W_T", 1)):
         theta = getattr(p, name)
-        fd = nm.finite_diff_grad(step2_loss, theta, h=1e-5)
+        fd = finite_diff_grad(step2_loss, theta, h=1e-5)
         for gate, block in enumerate(np.hsplit(fd, gates)):
             assert np.any(np.abs(block) > 1e-8), (name, gate)
         assert relative_error(theta.grad, fd) < 1e-4, name
@@ -197,7 +198,7 @@ def test_full_decoder_gradients_match_finite_differences():
     _, probs = decode_sequence(Tensor(Hstar), p)
     nm.backward(nm.sum_all(nm.mul(probs, Tensor(mask))))
     for name, theta in named_tensors(p):
-        fd = nm.finite_diff_grad(loss, theta, h=1e-5)
+        fd = finite_diff_grad(loss, theta, h=1e-5)
         assert relative_error(theta.grad, fd) < 1e-4, name
 
 
@@ -215,5 +216,5 @@ def test_decoder_input_and_parameter_gradients_match_finite_differences(n):
     _, probs = decode_sequence(Hstar, p)
     nm.backward(nm.sum_all(nm.mul(probs, Tensor(mask))))
     for name, theta in [("h_stars", Hstar)] + named_tensors(p):
-        fd = nm.finite_diff_grad(loss, theta, h=1e-5)
+        fd = finite_diff_grad(loss, theta, h=1e-5)
         assert relative_error(theta.grad, fd) < 1e-4, name

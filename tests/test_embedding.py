@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import relative_error
+from helpers import finite_diff_grad, relative_error
 from tripletag import embedding, numerics as nm
 from tripletag.embedding import (
     CharVocab, EmbedParams, WordLexicon, WordVectorParseError,
@@ -96,6 +96,16 @@ class TestLoadWordVectors:
         lx = load_word_vectors(p)
         with pytest.raises(ValueError):
             lx.get("w")[0] = 9.0
+
+
+class TestWordLexicon:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 2500], ids=["first", "late"])
+    def test_non_finite_component_rejected(self, value, where):
+        vectors = {f"w{i}": np.array([1.0, -1.0]) for i in range(3000)}
+        vectors[f"w{where}"] = np.array([0.5, value])
+        with pytest.raises(ValueError, match=f"non-finite .*'w{where}'"):
+            WordLexicon(vectors)
 
 
 class TestSegment:
@@ -203,7 +213,7 @@ class TestMixEmbed:
         out = mix_embed("pqr", vocab, lx, p)
         nm.backward(nm.sum_all(nm.mul(out, Tensor(w))))
         for theta in (p.char_table, p.projection):
-            fd = nm.finite_diff_grad(loss, theta, h=1e-5)
+            fd = finite_diff_grad(loss, theta, h=1e-5)
             assert relative_error(theta.grad, fd) < 1e-4
 
     def test_repeated_and_oov_chars_gradient(self):
@@ -220,7 +230,7 @@ class TestMixEmbed:
         out = mix_embed(text, vocab, lx, p)
         nm.backward(nm.sum_all(nm.mul(out, Tensor(w))))
         for theta in (p.char_table, p.projection):
-            fd = nm.finite_diff_grad(loss, theta, h=1e-5)
+            fd = finite_diff_grad(loss, theta, h=1e-5)
             assert relative_error(theta.grad, fd) < 1e-4
         absent = [vocab.id_of("r"), vocab.id_of("s")]
         np.testing.assert_array_equal(p.char_table.grad[absent], 0.0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    gate_blocks, named_tensors, reference_gru_sequence, relative_error, sigmoid)
+    finite_diff_grad, gate_blocks, named_tensors, reference_gru_sequence,
+    relative_error, sigmoid)
 from tripletag import numerics as nm
 from tripletag.encoder import BiGruParams, GruCell, GruParams, encode
 from tripletag.numerics import Tensor
@@ -93,7 +94,7 @@ class TestEncode:
         E = rng.uniform(-1, 1, (5, 3))
         out = encode(Tensor(E), p).data
         out_rev = encode(Tensor(E[::-1].copy()), swapped).data
-        d = p.hidden_size
+        d = p.forward.hidden_size
         np.testing.assert_allclose(out_rev[::-1, d:], out[:, :d], atol=1e-14)
         np.testing.assert_allclose(out_rev[::-1, :d], out[:, d:], atol=1e-14)
 
@@ -147,7 +148,7 @@ def test_encode_gradients_match_finite_differences():
     nm.backward(nm.sum_all(nm.mul(out, Tensor(mask))))
     for side in (p.forward, p.backward):
         for name, theta in named_tensors(side):
-            fd = nm.finite_diff_grad(loss, theta, h=1e-5)
+            fd = finite_diff_grad(loss, theta, h=1e-5)
             assert relative_error(theta.grad, fd) < 1e-4, name
 
 
@@ -172,7 +173,7 @@ def test_encode_input_and_parameter_gradients_match_finite_differences(n):
                            for side in ("forward", "backward")
                            for name, theta in named_tensors(getattr(p, side))]
     for name, theta in thetas:
-        fd = nm.finite_diff_grad(loss, theta, h=1e-5)
+        fd = finite_diff_grad(loss, theta, h=1e-5)
         field = name.split(".")[-1]
         gates = GATES.get(field, "-")
         for gate, grad, fd_block in zip(gates, np.hsplit(theta.grad, len(gates)),

@@ -1,5 +1,6 @@
-"""The one-node recurrent kernels against straight-line references and the
-per-step autodiff oracles of tests/helpers.py."""
+"""The one-node kernels (mixed embedding, recurrences) against straight-line
+references and the autodiff oracles of tests/helpers.py, and the gradient
+gate they rely on."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    gru_node, named_tensors, oracle_decode_rows, oracle_gru_rows,
-    reference_decode_rollout, reference_gru_sequence, weighted_row_sum)
+    gru_node, named_tensors, oracle_decode_rows, oracle_gru_rows, oracle_mix_embed,
+    reference_decode_rollout, reference_gru_sequence, reference_mix_embed,
+    weighted_row_sum)
 from tripletag import numerics as nm
 from tripletag.attention import AttnParams, attend
 from tripletag.decoder import DecoderParams, decode_sequence
+from tripletag.embedding import CharVocab, EmbedParams, WordLexicon, mix_embed
 from tripletag.encoder import BiGruParams, GruParams, encode
 from tripletag.numerics import Tensor
 
@@ -83,6 +86,25 @@ dims = st.integers(1, 5)
 
 
 @settings(max_examples=100, deadline=None)
+@given(text=st.text(alphabet="abcxy", min_size=1, max_size=12),
+       words=st.sets(st.text(alphabet="abcxy", min_size=1, max_size=3),
+                     min_size=1, max_size=6),
+       m=dims, d_w=dims, seed=st.integers(0, 2**32 - 1))
+def test_mix_embed_matches_reference_and_oracle(text, words, m, d_w, seed):
+    rng = np.random.default_rng(seed)
+    vocab = CharVocab("abc")
+    text += text[0] + "x"  # a repeated character and an out-of-vocabulary one
+    lexicon = WordLexicon({w: rng.uniform(-1, 1, d_w) for w in sorted(words)})
+    p = EmbedParams.init(rng, len(vocab), m, d_w)
+    w = rng.uniform(-1, 1, (len(text), m))
+    args = (text, vocab, lexicon, p)
+    np.testing.assert_allclose(mix_embed(*args).data, reference_mix_embed(*args),
+                               rtol=0, atol=ATOL)
+    assert_same_gradients(lambda: weighted(mix_embed(*args), w),
+                          lambda: weighted(oracle_mix_embed(*args), w), named_tensors(p))
+
+
+@settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 12), m=dims, d=dims, seed=st.integers(0, 2**32 - 1))
 def test_gru_sequence_matches_reference_and_oracle(n, m, d, seed):
     check_gru_sequence(np.random.default_rng(seed), n, m, d)
@@ -140,6 +162,33 @@ def test_encode_is_one_node_above_its_input():
     out = encode(E, BiGruParams.init(rng, 3, 2))
     assert graph_nodes(out) == 1
     assert out._parents[0] is E
+
+
+def test_mix_embed_is_one_node_above_its_parameters():
+    vocab = CharVocab("ab")
+    p = EmbedParams.init(np.random.default_rng(5), len(vocab), 3, 2)
+    out = mix_embed("abza", vocab, WordLexicon({"ab": np.ones(2)}), p)
+    assert graph_nodes(out) == 1
+    assert out._parents == (p.char_table, p.projection)
+
+
+def test_char_id_outside_char_table_rejected():
+    vocab = CharVocab("abc")
+    lexicon = WordLexicon({"ab": np.ones(2)})
+    p = EmbedParams.init(np.random.default_rng(6), len(vocab) - 1, 3, 2)  # no row for c
+    assert mix_embed("ab", vocab, lexicon, p).shape == (2, 3)
+    with pytest.raises(nm.DimensionError, match="char id 3"):
+        mix_embed("abc", vocab, lexicon, p)
+
+
+@pytest.mark.parametrize("op", [nm.mul, nm.matmul], ids=["mul", "matmul"])
+def test_constant_operand_takes_no_gradient(op):
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
+    c = Tensor(rng.uniform(-1, 1, (3, 3)))
+    nm.backward(nm.sum_all(nm.add(op(x, c), op(c, x))))
+    assert c.grad is None
+    assert np.all(x.grad != 0)
 
 
 @pytest.mark.parametrize("width", [2, 4])

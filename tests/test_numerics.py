@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import relative_error, sigmoid, sub, tanh
+from helpers import finite_diff_grad, relative_error, sigmoid, sub, tanh
 from tripletag import numerics as nm
 from tripletag.numerics import Tensor
 
@@ -103,28 +103,6 @@ class TestSoftmaxRows:
             assert np.all((out >= 0) & (out <= 1))
 
 
-class TestGatherRows:
-    @pytest.mark.parametrize("ids", [[], [-1], [3], np.zeros((1, 1), dtype=int), [0.5]],
-                             ids=["empty", "negative", "rows", "2-D", "float"])
-    def test_bad_ids_rejected(self, ids):
-        with pytest.raises(nm.DimensionError):
-            nm.gather_rows(Tensor(np.zeros((3, 2)), requires_grad=True), ids)
-
-    def test_gradient_accumulates_into_an_op_output(self):
-        # y is an op output, so its grad starts as None, not as zeros
-        x = Tensor(np.random.default_rng(7).uniform(-1, 1, (3, 4)),
-                   requires_grad=True)
-        y = nm.scale(x, 2.0)
-        assert y.grad is None
-        w = np.cos(np.arange(12)).reshape(3, 4)
-        nm.backward(nm.sum_all(nm.mul(nm.gather_rows(y, [2, 0, 2]), Tensor(w))))
-        want = np.zeros((3, 4))
-        want[2] = w[0] + w[2]
-        want[0] = w[1]
-        np.testing.assert_array_equal(y.grad, want)
-        np.testing.assert_array_equal(x.grad, 2.0 * want)
-
-
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.random.default_rng(4).uniform(-1, 1, (3, 5)),
@@ -163,12 +141,12 @@ class TestBackward:
 class TestFiniteDiff:
     def test_square_at_three(self):
         x = Tensor([[3.0]], requires_grad=True)
-        fd = nm.finite_diff_grad(lambda: float(x.data[0, 0] ** 2), x, h=1e-5)
+        fd = finite_diff_grad(lambda: float(x.data[0, 0] ** 2), x, h=1e-5)
         assert abs(fd[0, 0] - 6.0) < 1e-8
 
     def test_sigmoid_slope_at_zero(self):
         x = Tensor(np.zeros((2, 3)), requires_grad=True)
-        fd = nm.finite_diff_grad(
+        fd = finite_diff_grad(
             lambda: float(sigmoid(x).data.sum()), x, h=1e-5)
         np.testing.assert_allclose(fd, np.full((2, 3), 0.25), atol=1e-8)
 
@@ -190,7 +168,7 @@ def _gradcheck(build, shapes, seed, span=2.0):
     nm.backward(nm.sum_all(nm.mul(out, w)))
     worst = 0.0
     for x in inputs:
-        fd = nm.finite_diff_grad(loss, x, h=1e-5)
+        fd = finite_diff_grad(loss, x, h=1e-5)
         worst = max(worst, relative_error(x.grad, fd))
     return worst
 
@@ -205,7 +183,6 @@ OP_CASES = {
     "tanh": (lambda a: tanh(a), [(3, 4)]),
     "softmax_rows": (lambda a: nm.softmax_rows(a), [(3, 5)]),
     "transpose": (lambda a: nm.transpose(a), [(3, 4)]),
-    "gather_rows": (lambda a: nm.gather_rows(a, [1, 0, 1]), [(3, 4)]),
     "sum_all": (lambda a: nm.sum_all(a), [(3, 4)]),
     "scale": (lambda a: nm.scale(a, -2.5), [(3, 4)]),
     "log_positive": (lambda a: nm.log(sigmoid(a)), [(3, 4)]),
@@ -236,7 +213,7 @@ def test_gradient_through_shared_subexpression():
         return nm.sum_all(nm.mul(sigmoid(x), tanh(x)))
 
     nm.backward(build())
-    fd = nm.finite_diff_grad(lambda: build().item(), x, h=1e-5)
+    fd = finite_diff_grad(lambda: build().item(), x, h=1e-5)
     assert relative_error(x.grad, fd) < 1e-4
 
 

@@ -39,6 +39,12 @@ class TestScheme:
         with pytest.raises(ValueError, match="empty|duplicate"):
             tagging.TagScheme(relations)
 
+    def test_hashable_and_equal_schemes_share_a_key(self):
+        a, b = build_scheme(["a", "b"]), build_scheme(["a", "b"])
+        assert hash(a) == hash(b)
+        assert {a: "first"}[b] == "first"
+        assert len({a, b, build_scheme(["b", "a"])}) == 2
+
     def test_id_info_bijection(self):
         scheme = build_scheme(["a", "b", "c"])
         seen = set()
