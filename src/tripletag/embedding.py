@@ -23,8 +23,9 @@ from . import numerics as nm
 from .numerics import Tensor
 
 UNK = "<unk>"
-# words per np.isfinite call in WordLexicon: a call per word costs ~50 ms on a
-# 20k-word lexicon, one call on all rows stacked holds a second copy of them
+# words per np.isfinite call in WordLexicon and load_word_vectors: a call per
+# word costs ~50 ms on a 20k-word lexicon, one call on all rows stacked holds a
+# second copy of them
 FINITE_CHECK_WORDS = 256
 
 
@@ -95,43 +96,61 @@ def load_word_vectors(path) -> WordLexicon:
     line per word ("word v1 .. v_dim"). Duplicates keep the last occurrence.
 
     The file is read one line at a time, so only the parsed vectors are held
-    in memory.
+    in memory. Rows are checked for non-finite values in blocks, and any
+    unchecked rows are checked before another error is raised, so the error
+    still names the first bad line.
     """
     vectors: dict[str, np.ndarray] = {}
+    unchecked: list[tuple[int, np.ndarray]] = []  # (line number, vector)
     with open(path, encoding="utf-8") as fh:
         header_line = fh.readline().rstrip("\r\n")
         count, dim = _parse_header(header_line)
         rows_seen = 0
         lineno = 1
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            rows_seen += 1
-            if rows_seen > count:
-                raise WordVectorParseError(
-                    f"line {lineno}: more rows than the declared count {count}")
-            parts = line.split()
-            if len(parts) != dim + 1:
-                raise WordVectorParseError(
-                    f"line {lineno}: expected 1 word + {dim} values, "
-                    f"got {len(parts)} fields")
-            word = parts[0]
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError:
-                raise WordVectorParseError(
-                    f"line {lineno}: non-numeric vector component") from None
-            if not np.isfinite(vec).all():
-                raise WordVectorParseError(
-                    f"line {lineno}: non-finite vector component")
-            if word in vectors:
-                warnings.warn(f"duplicate word {word!r} at line {lineno}; "
-                              "keeping the last occurrence")
-            vectors[word] = vec
+        try:
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                rows_seen += 1
+                if rows_seen > count:
+                    raise WordVectorParseError(
+                        f"line {lineno}: more rows than the declared count {count}")
+                parts = line.split()
+                if len(parts) != dim + 1:
+                    raise WordVectorParseError(
+                        f"line {lineno}: expected 1 word + {dim} values, "
+                        f"got {len(parts)} fields")
+                word = parts[0]
+                try:
+                    vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                except ValueError:
+                    raise WordVectorParseError(
+                        f"line {lineno}: non-numeric vector component") from None
+                if word in vectors:
+                    warnings.warn(f"duplicate word {word!r} at line {lineno}; "
+                                  "keeping the last occurrence")
+                vectors[word] = vec
+                unchecked.append((lineno, vec))
+                if len(unchecked) == FINITE_CHECK_WORDS:
+                    _check_finite(unchecked)
+        except Exception:
+            _check_finite(unchecked)
+            raise
+    _check_finite(unchecked)
     if rows_seen < count:
         raise WordVectorParseError(
             f"line {lineno}: file ends after {rows_seen} of {count} rows")
     return WordLexicon(vectors)
+
+
+def _check_finite(rows: list[tuple[int, np.ndarray]]) -> None:
+    """Raise for the first (line number, vector) with a non-finite value in
+    it. Empties `rows` either way, so a second call does not raise again."""
+    if rows and not np.isfinite(np.concatenate([v for _, v in rows])).all():
+        bad = next(n for n, v in rows if not np.isfinite(v).all())
+        rows.clear()
+        raise WordVectorParseError(f"line {bad}: non-finite vector component")
+    rows.clear()
 
 
 def _parse_header(line: str) -> tuple[int, int]:

@@ -3,7 +3,10 @@
 Everything the tagging model needs and nothing more: 2-D float64 tensors,
 the ops attention and the loss compose (matmul, add, mul, clamped log, scale,
 sum_all, row softmax, transpose), gradient accumulation via a recorded graph,
-and the RMSprop update.
+and the RMSprop update. That update decays every accumulator entry but does
+the rest only on the rows with a non-zero gradient, in place, and gives the
+same bits as the dense update: a character-table step costs the characters
+the sentence used, not the whole vocabulary.
 
 Layers with a fused kernel (the mixed embedding and the GRU recurrences)
 build their own one-node ops from ``result`` and ``accumulate``: the kernel
@@ -245,16 +248,34 @@ class RmspropState:
 def rmsprop_step(theta: Tensor, state: RmspropState) -> None:
     """acc <- RHO*acc + (1-RHO)*grad^2; theta <- theta - lr*grad/sqrt(acc+EPSILON).
 
-    Zeroes theta.grad afterwards.
+    Zeroes theta.grad afterwards. Only the decay ``acc *= RHO`` touches every
+    row; the rest runs on the live rows, those with a gradient entry whose
+    bits are not +0.0 (a NaN, an inf or a -0.0 is live). This is exact: a
+    dead row would add ((1-RHO)*0)*0 = +0 to acc and subtract (lr*0)/sqrt(..)
+    = +0 from theta, and both leave every bit as it is. (That quotient is NaN
+    only where acc is, which is only where an earlier NaN gradient already
+    made theta NaN.) When every row is live the rows are a slice, so the
+    update runs in place on views.
     """
     if theta.grad is None:
         theta.zero_grad()
     g = theta.grad
     acc = state.accumulator(theta)
     acc *= RHO
-    acc += (1.0 - RHO) * g * g
-    theta.data -= state.learning_rate * g / np.sqrt(acc + EPSILON)
-    g[:] = 0.0
+    live = np.flatnonzero(np.bitwise_or.reduce(g.view(np.int64), axis=1))
+    rows = slice(None) if live.size == g.shape[0] else live
+    g_live, acc_live = g[rows], acc[rows]
+    # same association order as the dense formula: ((1-RHO)*g)*g, (lr*g)/sqrt
+    t = (1.0 - RHO) * g_live
+    t *= g_live
+    acc_live += t
+    acc[rows] = acc_live
+    np.add(acc_live, EPSILON, out=t)
+    np.sqrt(t, out=t)
+    g_live *= state.learning_rate
+    g_live /= t
+    theta.data[rows] -= g_live
+    g[rows] = 0.0
 
 
 def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> Tensor:

@@ -1,8 +1,8 @@
 """Shared test utilities: the finite-difference gradient oracle, the autodiff
-ops only the oracles use, straight-line references for the embedding and the
-encoder and decoder recurrences, autodiff oracles for their fused kernels, a
-one-direction GRU node, an independent reference tag decoder and a random
-sentence maker."""
+ops only the oracles use, straight-line references for the embedding, the
+encoder and decoder recurrences and the RMSprop step, autodiff oracles for
+their fused kernels, a one-direction GRU node, an independent reference tag
+decoder and a random sentence maker."""
 
 import dataclasses
 from typing import Callable
@@ -156,6 +156,14 @@ def reference_decode_rollout(Hstar, p):
         probs.append((e / e.sum())[0])
         states.append((h[0].copy(), T[0].copy()))
     return states, np.array(probs)
+
+
+def reference_rmsprop(theta, acc, grad, learning_rate):
+    """One dense RMSprop step on plain arrays (Tieleman & Hinton, 2012), decay
+    0.9 and floor 1e-8; returns the new (theta, acc)."""
+    acc = 0.9 * acc + (1.0 - 0.9) * grad * grad
+    theta = theta - learning_rate * grad / np.sqrt(acc + 1e-8)
+    return theta, acc
 
 
 # Autodiff compositions of the fused kernels, built from the numerics ops:

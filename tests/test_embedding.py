@@ -71,6 +71,29 @@ class TestLoadWordVectors:
         with pytest.raises(WordVectorParseError, match="^line 3: non-finite"):
             load_word_vectors(p)
 
+    @pytest.mark.parametrize("where", [0, 299, 599])
+    def test_non_finite_row_in_any_block_names_its_line(self, tmp_path, where):
+        rows = [f"w{i} 1 2" for i in range(600)]
+        rows[where] = f"w{where} 1 nan"
+        p = tmp_path / "vec.txt"
+        p.write_text("600 2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(WordVectorParseError,
+                           match=f"^line {where + 2}: non-finite"):
+            load_word_vectors(p)
+
+    @pytest.mark.parametrize("later", [
+        "w 1 1",  # a duplicate that replaces the bad row
+        "c 1",  # too few fields
+        "c 1 x",  # non-numeric
+        "c 1 1\nd 1 1",  # more rows than declared
+        "",  # file ends early
+    ])
+    def test_non_finite_row_is_reported_before_a_later_problem(self, tmp_path, later):
+        p = tmp_path / "vec.txt"
+        p.write_text(f"3 2\na 1 2\nw inf 1\n{later}\n")
+        with pytest.raises(WordVectorParseError, match="^line 3: non-finite"):
+            load_word_vectors(p)
+
     def test_duplicate_last_wins_with_warning(self, tmp_path):
         p = tmp_path / "vec.txt"
         p.write_text("2 2\nw 1 1\nw 2 2\n")

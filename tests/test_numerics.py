@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import finite_diff_grad, relative_error, sigmoid, sub, tanh
+from helpers import (finite_diff_grad, reference_rmsprop, relative_error,
+                     sigmoid, sub, tanh)
 from tripletag import numerics as nm
 from tripletag.numerics import Tensor
 
@@ -263,6 +267,115 @@ class TestRmsprop:
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             nm.RmspropState(learning_rate=0.0)
+
+
+def bits(a):
+    """The raw bit patterns, so equality also tells -0.0 from 0.0."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def masked_grad(rng, shape, live_rows):
+    """Random gradient whose rows are +0.0 except the `live_rows` kind:
+    "none", "one", "all" or "random". Live rows hold some exact zeros of
+    either sign."""
+    n = shape[0]
+    live = {"none": np.zeros(n, dtype=bool),
+            "one": np.arange(n) == rng.integers(n),
+            "all": np.ones(n, dtype=bool),
+            "random": rng.random(n) < 0.5}[live_rows]
+    g = rng.normal(size=shape)
+    g[rng.random(shape) < 0.2] = 0.0
+    g[rng.random(shape) < 0.1] = -0.0
+    return np.where(live[:, None], g, 0.0)
+
+
+class TestRmspropMatchesDenseReference:
+    LR = 0.01
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.one_of(st.tuples(st.just(1), st.integers(1, 8)),
+                           st.tuples(st.integers(1, 12), st.just(1)),
+                           st.tuples(st.integers(2, 40), st.integers(2, 8))),
+           steps=st.lists(st.sampled_from(["none", "one", "all", "random"]),
+                          min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_for_bit_over_several_steps(self, shape, steps, seed):
+        rng = np.random.default_rng(seed)
+        init = rng.uniform(-1, 1, shape)
+        init[rng.random(shape) < 0.1] = -0.0
+        theta = Tensor(init.copy(), requires_grad=True)
+        state = nm.RmspropState(learning_rate=self.LR)
+        ref_theta, ref_acc = init, np.zeros(shape)
+        for live_rows in steps:
+            grad = masked_grad(rng, shape, live_rows)
+            theta.grad[...] = grad
+            nm.rmsprop_step(theta, state)
+            ref_theta, ref_acc = reference_rmsprop(ref_theta, ref_acc, grad, self.LR)
+            assert np.array_equal(bits(theta.data), bits(ref_theta))
+            assert np.array_equal(bits(state.accumulator(theta)), bits(ref_acc))
+            assert np.array_equal(bits(theta.grad), bits(np.zeros(shape)))
+
+    def test_a_negative_zero_gradient_row_is_live(self):
+        # where grad = -0.0 the dense step turns theta = -0.0 into +0.0, so a
+        # row of -0.0 must not be skipped; a row of +0.0 keeps theta's sign
+        init = np.array([[-0.0, 1.0], [-0.0, 1.0]])
+        grad = np.array([[0.0, 0.0], [-0.0, -0.0]])
+        theta = Tensor(init.copy(), requires_grad=True)
+        theta.grad[...] = grad
+        nm.rmsprop_step(theta, nm.RmspropState(learning_rate=self.LR))
+        ref, _ = reference_rmsprop(init, np.zeros((2, 2)), grad, self.LR)
+        assert np.array_equal(bits(theta.data), bits(ref))
+        assert math.copysign(1.0, theta.data[0, 0]) == -1.0
+        assert math.copysign(1.0, theta.data[1, 0]) == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_gradient_reaches_only_its_row(self, bad):
+        rng = np.random.default_rng(7)
+        init = rng.uniform(-1, 1, (6, 4))
+        grad = masked_grad(rng, (6, 4), "random")
+        grad[3] = [0.0, 0.0, bad, 0.0]  # live through the bad value alone
+        theta = Tensor(init.copy(), requires_grad=True)
+        theta.grad[...] = grad
+        # inf / sqrt(inf) is an invalid operation; its NaN is the point here
+        with np.errstate(invalid="ignore"):
+            nm.rmsprop_step(theta, nm.RmspropState(learning_rate=self.LR))
+            ref, _ = reference_rmsprop(init, np.zeros((6, 4)), grad, self.LR)
+        np.testing.assert_array_equal(np.isnan(theta.data).any(axis=1),
+                                      np.arange(6) == 3)
+        others = np.arange(6) != 3
+        assert np.array_equal(bits(theta.data[others]), bits(ref[others]))
+
+    def test_a_dead_row_only_decays_its_accumulator(self):
+        rng = np.random.default_rng(8)
+        theta = Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
+        state = nm.RmspropState(learning_rate=self.LR)
+        for _ in range(3):
+            theta.grad[...] = rng.normal(size=(5, 3))
+            nm.rmsprop_step(theta, state)
+        theta_before = theta.data.copy()
+        acc_before = state.accumulator(theta).copy()
+        theta.grad[2] = rng.normal(size=3)
+        nm.rmsprop_step(theta, state)
+        dead = np.arange(5) != 2
+        assert np.array_equal(bits(theta.data[dead]), bits(theta_before[dead]))
+        assert np.array_equal(bits(state.accumulator(theta)[dead]),
+                              bits(nm.RHO * acc_before[dead]))
+        assert not np.array_equal(theta.data[2], theta_before[2])
+
+
+def test_rmsprop_step_on_few_live_rows_allocates_no_table_sized_array():
+    theta = Tensor(np.zeros((5000, 100)), requires_grad=True)
+    state = nm.RmspropState(learning_rate=0.01)
+    state.accumulator(theta)
+    theta.grad[[0, 1234, 4999]] = 1.0
+    tracemalloc.start()
+    try:
+        nm.rmsprop_step(theta, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < theta.data.nbytes / 4
+    assert np.count_nonzero(theta.data.any(axis=1)) == 3
 
 
 def test_determinism_same_seed_same_bits():
