@@ -13,9 +13,11 @@ matmul with the projection, whose backward touches the gathered rows only.
 
 from __future__ import annotations
 
+import mmap
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -23,10 +25,9 @@ from . import numerics as nm
 from .numerics import Tensor
 
 UNK = "<unk>"
-# words per np.isfinite call in WordLexicon and load_word_vectors: a call per
-# word costs ~50 ms on a 20k-word lexicon, one call on all rows stacked holds a
-# second copy of them
-FINITE_CHECK_WORDS = 256
+# lines per np.loadtxt call in load_word_vectors: larger blocks spread the
+# call's fixed cost over more values but hold more line strings at once
+BLOCK_LINES = 512
 
 
 class WordVectorParseError(ValueError):
@@ -58,7 +59,11 @@ class CharVocab:
 
 
 class WordLexicon:
-    """word -> frozen pretrained vector, all of one dimension and finite."""
+    """word -> frozen pretrained vector, all of one dimension and finite.
+
+    The vectors are the rows of one read-only (words x dim) matrix, and `get`
+    returns a read-only view of a row.
+    """
 
     def __init__(self, vectors: dict[str, np.ndarray]):
         if not vectors:
@@ -68,89 +73,152 @@ class WordLexicon:
             raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
         if "" in vectors:
             raise ValueError("empty-string key")
-        self._vec = {}
-        for w, v in vectors.items():
-            arr = np.asarray(v, dtype=np.float64).copy()
-            arr.flags.writeable = False
-            self._vec[w] = arr
-        rows = list(self._vec.values())
-        for i in range(0, len(rows), FINITE_CHECK_WORDS):
-            if not np.isfinite(np.concatenate(rows[i : i + FINITE_CHECK_WORDS])).all():
-                bad = next(w for w, v in self._vec.items() if not np.isfinite(v).all())
-                raise ValueError(f"non-finite component in the vector of {bad!r}")
-        self.dim = next(iter(self._vec.values())).shape[0]
-        self.max_word_len = max(len(w) for w in self._vec)
+        shape = next(iter(dims))
+        if len(shape) != 1 or shape[0] == 0:
+            raise ValueError(f"vectors must be non-empty 1-D arrays, got shape {shape}")
+        # the matrix gets an anonymous mapping of its own: freeing a block this
+        # size through glibc's malloc raises the heap's trim threshold to twice
+        # the size, and the heap then holds on to that much freed memory
+        n_bytes = len(vectors) * shape[0] * 8
+        matrix = np.frombuffer(mmap.mmap(-1, n_bytes), dtype=np.float64)
+        matrix = matrix.reshape(len(vectors), shape[0])
+        np.stack(list(vectors.values()), out=matrix)
+        if not np.isfinite(matrix).all():
+            bad = int(np.argmin(np.isfinite(matrix).all(axis=1)))
+            raise ValueError(
+                f"non-finite component in the vector of {list(vectors)[bad]!r}")
+        matrix.flags.writeable = False
+        self._matrix = matrix
+        self._row = {w: i for i, w in enumerate(vectors)}
+        self.dim = matrix.shape[1]
+        self.max_word_len = max(map(len, vectors))
 
     def __len__(self) -> int:
-        return len(self._vec)
+        return len(self._row)
 
     def __contains__(self, word: str) -> bool:
-        return word in self._vec
+        return word in self._row
 
     def get(self, word: str) -> Optional[np.ndarray]:
-        return self._vec.get(word)
+        row = self._row.get(word)
+        return None if row is None else self._matrix[row]
 
 
 def load_word_vectors(path) -> WordLexicon:
     """Read the classic text vector format: "<count> <dim>" header, then one
-    line per word ("word v1 .. v_dim"). Duplicates keep the last occurrence.
+    line per word ("word v1 .. v_dim"), in UTF-8 with an optional BOM; fields
+    are separated by any whitespace `str.split` splits at. Duplicates keep the
+    last occurrence. Any malformed line, undecodable bytes included, raises
+    WordVectorParseError naming the first bad line.
 
-    The file is read one line at a time, so only the parsed vectors are held
-    in memory. Rows are checked for non-finite values in blocks, and any
-    unchecked rows are checked before another error is raised, so the error
-    still names the first bad line.
+    The body is read in blocks of BLOCK_LINES lines, and one `np.loadtxt`
+    call parses a block's values. A block it rejects, or whose shape,
+    finiteness or row count is wrong, is read again one line at a time with
+    `float`, which names the first bad line or accepts the block: `float`
+    also reads forms `np.loadtxt` rejects, such as "1_0" and non-ASCII
+    digits.
     """
     vectors: dict[str, np.ndarray] = {}
-    unchecked: list[tuple[int, np.ndarray]] = []  # (line number, vector)
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline().rstrip("\r\n")
-        count, dim = _parse_header(header_line)
+    with open(path, "rb") as fh:
+        lines = enumerate(_lines(fh), start=1)
+        lineno, header = next(lines, (1, b""))
+        count, dim = _parse_header(
+            _decode(lineno, header).removeprefix("\ufeff").rstrip("\r\n"))
         rows_seen = 0
-        lineno = 1
-        try:
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                rows_seen += 1
-                if rows_seen > count:
-                    raise WordVectorParseError(
-                        f"line {lineno}: more rows than the declared count {count}")
-                parts = line.split()
-                if len(parts) != dim + 1:
-                    raise WordVectorParseError(
-                        f"line {lineno}: expected 1 word + {dim} values, "
-                        f"got {len(parts)} fields")
-                word = parts[0]
-                try:
-                    vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-                except ValueError:
-                    raise WordVectorParseError(
-                        f"line {lineno}: non-numeric vector component") from None
-                if word in vectors:
-                    warnings.warn(f"duplicate word {word!r} at line {lineno}; "
-                                  "keeping the last occurrence")
-                vectors[word] = vec
-                unchecked.append((lineno, vec))
-                if len(unchecked) == FINITE_CHECK_WORDS:
-                    _check_finite(unchecked)
-        except Exception:
-            _check_finite(unchecked)
-            raise
-    _check_finite(unchecked)
+        while block := list(islice(lines, BLOCK_LINES)):
+            lineno = block[-1][0]
+            parsed = _parse_block(block, count - rows_seen, dim)
+            if parsed is None:
+                rows_seen = _read_lines(block, rows_seen, count, dim, vectors)
+                continue
+            for (n, word), vec in zip(*parsed):
+                _put(vectors, word, vec, n)
+            rows_seen += len(parsed[1])
     if rows_seen < count:
         raise WordVectorParseError(
             f"line {lineno}: file ends after {rows_seen} of {count} rows")
     return WordLexicon(vectors)
 
 
-def _check_finite(rows: list[tuple[int, np.ndarray]]) -> None:
-    """Raise for the first (line number, vector) with a non-finite value in
-    it. Empties `rows` either way, so a second call does not raise again."""
-    if rows and not np.isfinite(np.concatenate([v for _, v in rows])).all():
-        bad = next(n for n, v in rows if not np.isfinite(v).all())
-        rows.clear()
-        raise WordVectorParseError(f"line {bad}: non-finite vector component")
-    rows.clear()
+def _lines(fh) -> Iterator[bytes]:
+    """The lines of a binary file, ends kept, split where text mode splits
+    them: at "\n", "\r\n" and a lone "\r"."""
+    for raw in fh:
+        if b"\r" in raw:
+            yield from raw.splitlines(keepends=True)
+        else:
+            yield raw
+
+
+def _decode(lineno: int, raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise WordVectorParseError(f"line {lineno}: not UTF-8 text ({e})") from None
+
+
+def _parse_block(block: list[tuple[int, bytes]], room: int,
+                 dim: int) -> Optional[tuple[list[tuple[int, str]], np.ndarray]]:
+    """The block's (line number, word) pairs and its (rows, dim) values from
+    one `np.loadtxt` call; None for a block of blank lines, undecodable bytes,
+    a word alone, more than `room` rows, a value `np.loadtxt` rejects, a
+    wrong shape or a non-finite value."""
+    numbered_words, rests = [], []
+    for lineno, raw in block:
+        try:
+            parts = raw.decode("utf-8").split(None, 1)
+        except UnicodeDecodeError:
+            return None
+        if len(parts) == 1:
+            return None
+        if parts:
+            numbered_words.append((lineno, parts[0]))
+            rests.append(parts[1])
+    if not rests or len(rests) > room:
+        return None
+    try:
+        values = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(rests), dim) or not np.isfinite(values).all():
+        return None
+    return numbered_words, values
+
+
+def _read_lines(block: list[tuple[int, bytes]], rows_seen: int, count: int,
+                dim: int, vectors: dict[str, np.ndarray]) -> int:
+    """Add a block of (line number, line) to `vectors` one line at a time,
+    raising for the first bad line; return the rows seen so far."""
+    for lineno, raw in block:
+        line = _decode(lineno, raw)
+        if not line.strip():
+            continue
+        rows_seen += 1
+        if rows_seen > count:
+            raise WordVectorParseError(
+                f"line {lineno}: more rows than the declared count {count}")
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise WordVectorParseError(
+                f"line {lineno}: expected 1 word + {dim} values, "
+                f"got {len(parts)} fields")
+        try:
+            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        except ValueError:
+            raise WordVectorParseError(
+                f"line {lineno}: non-numeric vector component") from None
+        if not np.isfinite(vec).all():
+            raise WordVectorParseError(f"line {lineno}: non-finite vector component")
+        _put(vectors, parts[0], vec, lineno)
+    return rows_seen
+
+
+def _put(vectors: dict[str, np.ndarray], word: str, vec: np.ndarray,
+         lineno: int) -> None:
+    if word in vectors:
+        warnings.warn(f"duplicate word {word!r} at line {lineno}; "
+                      "keeping the last occurrence")
+    vectors[word] = vec
 
 
 def _parse_header(line: str) -> tuple[int, int]:

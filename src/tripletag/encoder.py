@@ -26,7 +26,7 @@ from .numerics import Tensor
 
 def packed(*blocks: np.ndarray) -> Tensor:
     """A trainable tensor of the blocks side by side, in the given order."""
-    return Tensor(np.hstack(blocks), requires_grad=True)
+    return nm.parameter(np.hstack(blocks))
 
 
 @dataclass

@@ -28,6 +28,7 @@ import numpy as np
 LOG_FLOOR = 1e-12
 RHO = 0.9  # RMSprop decay of the squared-gradient accumulator
 EPSILON = 1e-8  # RMSprop floor under the accumulator's square root
+ALIGN = 64  # bytes: the boundary every parameter's data and gradient start on
 
 
 class DimensionError(ValueError):
@@ -278,11 +279,34 @@ def rmsprop_step(theta: Tensor, state: RmspropState) -> None:
     g[rows] = 0.0
 
 
+def parameter(data) -> Tensor:
+    """A trainable tensor holding a copy of `data`, with that copy and a zero
+    gradient each in a 64-byte-aligned buffer. Where the heap places a weight
+    matrix sets the speed of a gemv against it (at d = 100, up to ~1.5x
+    slower off a 64-byte boundary, for the same bits), so no parameter is
+    left to heap luck."""
+    values = Tensor(data).data
+    t = Tensor(_aligned(values.shape))
+    t.data[...] = values
+    t.requires_grad = True
+    t.grad = _aligned(values.shape)
+    t.grad.fill(0.0)
+    return t
+
+
+def _aligned(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialised float64 array whose data starts on a 64-byte boundary."""
+    nbytes = shape[0] * shape[1] * 8
+    buf = np.empty(nbytes + ALIGN, dtype=np.uint8)
+    start = -buf.ctypes.data % ALIGN
+    return buf[start : start + nbytes].view(np.float64).reshape(shape)
+
+
 def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
     """Trainable tensor, uniform in +-sqrt(6/(rows+cols)) (fan-based scaling)."""
     limit = np.sqrt(6.0 / (rows + cols))
-    return Tensor(rng.uniform(-limit, limit, size=(rows, cols)), requires_grad=True)
+    return parameter(rng.uniform(-limit, limit, size=(rows, cols)))
 
 
 def zeros_init(rows: int, cols: int) -> Tensor:
-    return Tensor(np.zeros((rows, cols)), requires_grad=True)
+    return parameter(np.zeros((rows, cols)))

@@ -1,16 +1,17 @@
 """Shared test utilities: the finite-difference gradient oracle, the autodiff
-ops only the oracles use, straight-line references for the embedding, the
-encoder and decoder recurrences and the RMSprop step, autodiff oracles for
-their fused kernels, a one-direction GRU node, an independent reference tag
-decoder and a random sentence maker."""
+ops only the oracles use, straight-line references for the word-vector
+loader, the embedding, the encoder and decoder recurrences and the RMSprop
+step, autodiff oracles for their fused kernels, a one-direction GRU node, an
+independent reference tag decoder and a random sentence maker."""
 
 import dataclasses
+import warnings
 from typing import Callable
 
 import numpy as np
 
 from tripletag import numerics as nm
-from tripletag.embedding import segment
+from tripletag.embedding import WordVectorParseError, segment
 from tripletag.encoder import GruCell
 from tripletag.numerics import Tensor
 from tripletag.tagging import HEAD, TAIL, Triple
@@ -116,6 +117,58 @@ def reference_gru_sequence(E, p):
         h = (1.0 - z) * h + z * cand
         out.append(h[0].copy())
     return np.array(out)
+
+
+def reference_load_word_vectors(path) -> dict:
+    """The vector-file loader as one straight loop: text-mode UTF-8, one line
+    and one `float` per value at a time, each row checked as it is read.
+    Returns word -> vector, in first-occurrence order with the last
+    occurrence's values; warns for each duplicate and raises
+    WordVectorParseError for the first bad line."""
+    vectors = {}
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\r\n")
+        if not header.strip():
+            raise WordVectorParseError("line 1: missing '<count> <dim>' header")
+        fields = header.split()
+        if len(fields) != 2:
+            raise WordVectorParseError(f"line 1: expected '<count> <dim>', got {header!r}")
+        try:
+            count, dim = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise WordVectorParseError(
+                f"line 1: non-integer header fields {header!r}") from None
+        if count <= 0 or dim <= 0:
+            raise WordVectorParseError(f"line 1: non-positive count/dim {header!r}")
+        rows_seen = 0
+        lineno = 1
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            rows_seen += 1
+            if rows_seen > count:
+                raise WordVectorParseError(
+                    f"line {lineno}: more rows than the declared count {count}")
+            parts = line.split()
+            if len(parts) != dim + 1:
+                raise WordVectorParseError(
+                    f"line {lineno}: expected 1 word + {dim} values, "
+                    f"got {len(parts)} fields")
+            try:
+                vec = np.array([float(x) for x in parts[1:]])
+            except ValueError:
+                raise WordVectorParseError(
+                    f"line {lineno}: non-numeric vector component") from None
+            if not np.isfinite(vec).all():
+                raise WordVectorParseError(f"line {lineno}: non-finite vector component")
+            if parts[0] in vectors:
+                warnings.warn(f"duplicate word {parts[0]!r} at line {lineno}; "
+                              "keeping the last occurrence")
+            vectors[parts[0]] = vec
+    if rows_seen < count:
+        raise WordVectorParseError(
+            f"line {lineno}: file ends after {rows_seen} of {count} rows")
+    return vectors
 
 
 def word_matrix(text, lexicon):

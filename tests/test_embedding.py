@@ -1,9 +1,14 @@
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_diff_grad, relative_error
+from helpers import finite_diff_grad, reference_load_word_vectors, relative_error
 from tripletag import embedding, numerics as nm
 from tripletag.embedding import (
     CharVocab, EmbedParams, WordLexicon, WordVectorParseError,
@@ -120,6 +125,116 @@ class TestLoadWordVectors:
         with pytest.raises(ValueError):
             lx.get("w")[0] = 9.0
 
+    @pytest.mark.parametrize("data, line", [
+        ("2 2\n北京 1 2\n大学 3 4\n".encode("gbk"), 2),
+        (b"3 2\na 1 2\nb 3 4\nc\xff 5 6\n", 4),
+        (b"3 2\na 1 2\nb\xe5\x8c 3 4\nc 5 6\n", 3),  # a character cut short
+        (b"3 2\na 1 x\nb\xff 3 4\nc 5 6\n", 2),  # an earlier bad line comes first
+        (b"\xff2 2\n", 1),
+    ])
+    def test_undecodable_bytes_name_their_line(self, tmp_path, data, line):
+        p = tmp_path / "vec.txt"
+        p.write_bytes(data)
+        with pytest.raises(WordVectorParseError, match=f"^line {line}: "):
+            load_word_vectors(p)
+
+    def test_a_leading_utf8_bom_is_skipped(self, tmp_path):
+        p = tmp_path / "vec.txt"
+        p.write_bytes(b"\xef\xbb\xbf" + "2 2\n北京 1 2\n大学 3 4\n".encode())
+        lx = load_word_vectors(p)
+        assert len(lx) == 2
+        np.testing.assert_array_equal(lx.get("北京"), [1, 2])
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_every_text_mode_line_end_is_read(self, tmp_path, newline):
+        p = tmp_path / "vec.txt"
+        p.write_bytes(newline.join(["2 2", "a 1 2", "", "b 3 4"]).encode())
+        lx = load_word_vectors(p)
+        np.testing.assert_array_equal(lx.get("b"), [3, 4])
+
+
+def loaded_rows(path) -> dict:
+    """The production loader's lexicon as word -> row, in row order."""
+    lexicon = load_word_vectors(path)
+    return {w: lexicon.get(w) for w in lexicon._row}
+
+
+def outcome(load, path):
+    """What a loader makes of a file: its words in order with the float.hex
+    of every value, or its exception's type and message; and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            vectors = load(path)
+            result = [(w, [float(x).hex() for x in v]) for w, v in vectors.items()]
+        except Exception as e:
+            result = (type(e), str(e))
+    return result, [str(w.message) for w in caught]
+
+
+# `float` reads every one of these; np.loadtxt rejects the last three
+READABLE = ["0", "-0", "1.5", "-2e-3", ".5", "7.", "1e-320", "1_0", "١٢", "１"]
+BAD = ["nan", "inf", "-Infinity", "1e999", "x", "1__0", "0x1"]
+
+
+@st.composite
+def vector_files(draw):
+    """(file bytes, lines per block): a vector file of a few words, so words
+    repeat, with blank, short, long and bad lines among valid rows, a header
+    count near the row count, and at least two blocks."""
+    dim = draw(st.integers(1, 3))
+    value = st.one_of(st.floats(-1e3, 1e3).map(repr), st.sampled_from(READABLE))
+    sep = st.sampled_from([" ", "\t", "\u3000", " \u3000 "])
+
+    def row(n_values, bad=None):
+        values = [draw(value) for _ in range(n_values)]
+        if bad is not None:
+            values[draw(st.integers(0, n_values - 1))] = bad
+        word = draw(st.sampled_from(["a", "b", "c", "北京", "大学"]))
+        return draw(st.sampled_from(["", " "])) + word + "".join(draw(sep) + v for v in values)
+
+    lines = [row(dim) for _ in range(draw(st.integers(2, 14)))]
+    for _ in range(draw(st.integers(0, 3))):
+        odd = draw(st.sampled_from(["blank", "space", "short", "long", "bad"]))
+        lines.insert(draw(st.integers(0, len(lines))), {
+            "blank": lambda: "",
+            "space": lambda: " \u3000\t",
+            "short": lambda: row(dim - 1),
+            "long": lambda: row(dim + 1),
+            "bad": lambda: row(dim, draw(st.sampled_from(BAD))),
+        }[odd]())
+    rows = sum(1 for line in lines if line.strip())
+    count = max(1, rows + draw(st.sampled_from([0, 0, 0, -1, 1, -2, 2])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join([f"{count} {dim}", *lines]) + draw(st.sampled_from(["", newline]))
+    return text.encode(), draw(st.integers(1, len(lines) - 1))
+
+
+class TestLoaderMatchesReference:
+    """The block loader against the straight-line `float` reference: the same
+    words in order with the same bits and the same warnings in order, or the
+    same exception type and message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vector_files())
+    def test_generated_files(self, file_and_block):
+        data, block = file_and_block
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vec.txt"
+            path.write_bytes(data)
+            with mock.patch.object(embedding, "BLOCK_LINES", block):
+                assert outcome(loaded_rows, path) == outcome(reference_load_word_vectors, path)
+
+    @pytest.mark.parametrize("token", ["1_0", "١", "nan", "x"])
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["before-edge", "after-edge"])
+    def test_a_line_at_the_first_block_edge(self, tmp_path, token, offset):
+        rows = [f"w{i} 0.5 -1" for i in range(embedding.BLOCK_LINES + 20)]
+        at = embedding.BLOCK_LINES + offset
+        rows[at] = f"w{at} 2 {token}"
+        path = tmp_path / "vec.txt"
+        path.write_text(f"{len(rows)} 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert outcome(loaded_rows, path) == outcome(reference_load_word_vectors, path)
+
 
 class TestWordLexicon:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -129,6 +244,11 @@ class TestWordLexicon:
         vectors[f"w{where}"] = np.array([0.5, value])
         with pytest.raises(ValueError, match=f"non-finite .*'w{where}'"):
             WordLexicon(vectors)
+
+    @pytest.mark.parametrize("vector", [np.zeros(0), np.zeros((1, 2))])
+    def test_vectors_must_be_non_empty_rows(self, vector):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            WordLexicon({"w": vector})
 
 
 class TestSegment:

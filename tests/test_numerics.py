@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (finite_diff_grad, reference_rmsprop, relative_error,
-                     sigmoid, sub, tanh)
+from helpers import (finite_diff_grad, named_tensors, reference_rmsprop,
+                     relative_error, sigmoid, sub, tanh)
 from tripletag import numerics as nm
+from tripletag.attention import AttnParams
+from tripletag.decoder import DecoderParams
+from tripletag.embedding import EmbedParams
+from tripletag.encoder import BiGruParams
 from tripletag.numerics import Tensor
 
 
@@ -376,6 +380,31 @@ def test_rmsprop_step_on_few_live_rows_allocates_no_table_sized_array():
         tracemalloc.stop()
     assert peak < theta.data.nbytes / 4
     assert np.count_nonzero(theta.data.any(axis=1)) == 3
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_initial_parameter_is_64_byte_aligned_before_and_after_a_step(seed):
+    rng = np.random.default_rng(seed)
+    encoder = BiGruParams.init(rng, 5, 7)
+    layers = (EmbedParams.init(rng, 37, 5, 3), encoder.forward, encoder.backward,
+              AttnParams.init(rng, 14), DecoderParams.init(rng, 14, 6, 4, 9))
+    params = [t for layer in layers for _, t in named_tensors(layer)]
+    assert all(t.data.ctypes.data % 64 == 0 and t.grad.ctypes.data % 64 == 0
+               and not t.grad.any() for t in params)
+    state = nm.RmspropState(learning_rate=0.01)
+    for t in params:
+        t.grad[...] = rng.uniform(-1, 1, t.shape)
+        nm.rmsprop_step(t, state)
+    assert all(t.data.ctypes.data % 64 == 0 and t.grad.ctypes.data % 64 == 0
+               for t in params)
+
+
+def test_parameter_copies_its_data():
+    data = np.arange(6.0).reshape(2, 3)
+    t = nm.parameter(data)
+    data[0, 0] = 9.0
+    np.testing.assert_array_equal(t.data, np.arange(6.0).reshape(2, 3))
+    assert t.requires_grad and t.grad.shape == (2, 3)
 
 
 def test_determinism_same_seed_same_bits():

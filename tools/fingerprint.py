@@ -9,7 +9,9 @@ the sha256 of a newline-joined list of `float.hex` values:
 
 - `train_short` and `train_long`: the per-step losses, and every final
   parameter value in model order;
-- `infer_mixed`: every probability of every prediction, row by row.
+- `infer_mixed`: every probability of every prediction, row by row;
+- every workload: the loaded word lexicon, as each generated word in order
+  followed by the `float.hex` of every value of its vector.
 
 Two checkouts that print the same lines compute the same bits. Run it on a
 parent commit and on a change to check that a refactor kept the outputs.
@@ -30,8 +32,11 @@ BLAS_THREADS = "2"
 
 
 def digest(values) -> str:
-    text = "\n".join(float(v).hex() for v in values)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return digest_text(float(v).hex() for v in values)
+
+
+def digest_text(items) -> str:
+    return hashlib.sha256("\n".join(items).encode()).hexdigest()[:16]
 
 
 def episode(run, name: str, seed: int) -> dict[str, str]:
@@ -47,16 +52,18 @@ def episode(run, name: str, seed: int) -> dict[str, str]:
         corpus.write_word_vectors(vectors, seed, words, w.dims.word_dim)
         model = pipeline.build_model(vectors, corpus.alphabet(w.vocab_size), relations,
                                      w.dims, run.INIT_SEED, run.LEARNING_RATE)
+    lexicon = digest_text(item for word in words for item in (
+        word, *(float(v).hex() for v in model.lexicon.get(word))))
     if w.kind == "predict":
         probs = (v for text, _ in sents
                  for v in pipeline.predict(model, text)[1].data.ravel())
-        return {"probs": digest(probs)}
+        return {"lexicon": lexicon, "probs": digest(probs)}
     losses = []
     for text, triples in sents * w.passes:
         losses.append(pipeline.forward_backward(model, text, triples)[0])
         pipeline.update(model)
     params = (v for p in model.params for v in p.data.ravel())
-    return {"losses": digest(losses), "params": digest(params)}
+    return {"lexicon": lexicon, "losses": digest(losses), "params": digest(params)}
 
 
 def main(argv: list[str]) -> int:
