@@ -7,6 +7,10 @@ sum of the two, so the word lexicon and its projection are required. Words
 come from a plain-text vector file and are never updated; characters outside
 the vocabulary map to the reserved UNK id 0.
 
+`load_word_vectors` parses the file in blocks and copies each block straight
+into the rows of the lexicon's one matrix, so a load peaks at one matrix plus
+one block, not at two copies of the lexicon.
+
 `mix_embed` is one autodiff node: a gather of character-table rows plus one
 matmul with the projection, whose backward touches the gathered rows only.
 """
@@ -14,10 +18,13 @@ matmul with the projection, whose backward touches the gathered rows only.
 from __future__ import annotations
 
 import mmap
+import os
+import stat
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -61,37 +68,33 @@ class CharVocab:
 class WordLexicon:
     """word -> frozen pretrained vector, all of one dimension and finite.
 
-    The vectors are the rows of one read-only (words x dim) matrix, and `get`
-    returns a read-only view of a row.
+    The vectors are the rows of one read-only (words x dim) matrix, row i
+    for words[i], and `get` returns a read-only view of a row. The lexicon
+    keeps `matrix` itself, not a copy, and marks it read-only.
     """
 
-    def __init__(self, vectors: dict[str, np.ndarray]):
-        if not vectors:
+    def __init__(self, words: Sequence[str], matrix: np.ndarray):
+        if not words:
             raise ValueError("lexicon is empty")
-        dims = {v.shape for v in vectors.values()}
-        if len(dims) != 1:
-            raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
-        if "" in vectors:
+        if "" in words:
             raise ValueError("empty-string key")
-        shape = next(iter(dims))
-        if len(shape) != 1 or shape[0] == 0:
-            raise ValueError(f"vectors must be non-empty 1-D arrays, got shape {shape}")
-        # the matrix gets an anonymous mapping of its own: freeing a block this
-        # size through glibc's malloc raises the heap's trim threshold to twice
-        # the size, and the heap then holds on to that much freed memory
-        n_bytes = len(vectors) * shape[0] * 8
-        matrix = np.frombuffer(mmap.mmap(-1, n_bytes), dtype=np.float64)
-        matrix = matrix.reshape(len(vectors), shape[0])
-        np.stack(list(vectors.values()), out=matrix)
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or 0 in matrix.shape:
+            raise ValueError(
+                f"the matrix must be a non-empty 2-D array, got shape {matrix.shape}")
+        if matrix.shape[0] != len(words):
+            raise ValueError(f"{len(words)} words but {matrix.shape[0]} matrix rows")
+        self._row = {w: i for i, w in enumerate(words)}
+        if len(self._row) != len(words):
+            dupes = sorted(w for w, count in Counter(words).items() if count > 1)
+            raise ValueError(f"duplicate words: {dupes}")
         if not np.isfinite(matrix).all():
             bad = int(np.argmin(np.isfinite(matrix).all(axis=1)))
-            raise ValueError(
-                f"non-finite component in the vector of {list(vectors)[bad]!r}")
+            raise ValueError(f"non-finite component in the vector of {words[bad]!r}")
         matrix.flags.writeable = False
         self._matrix = matrix
-        self._row = {w: i for i, w in enumerate(vectors)}
         self.dim = matrix.shape[1]
-        self.max_word_len = max(map(len, vectors))
+        self.max_word_len = max(map(len, words))
 
     def __len__(self) -> int:
         return len(self._row)
@@ -108,8 +111,9 @@ def load_word_vectors(path) -> WordLexicon:
     """Read the classic text vector format: "<count> <dim>" header, then one
     line per word ("word v1 .. v_dim"), in UTF-8 with an optional BOM; fields
     are separated by any whitespace `str.split` splits at. Duplicates keep the
-    last occurrence. Any malformed line, undecodable bytes included, raises
-    WordVectorParseError naming the first bad line.
+    row of the first occurrence and the values of the last. Any malformed
+    line, undecodable bytes included, raises WordVectorParseError naming the
+    first bad line.
 
     The body is read in blocks of BLOCK_LINES lines, and one `np.loadtxt`
     call parses a block's values. A block it rejects, or whose shape,
@@ -117,27 +121,60 @@ def load_word_vectors(path) -> WordLexicon:
     `float`, which names the first bad line or accepts the block: `float`
     also reads forms `np.loadtxt` rejects, such as "1_0" and non-ASCII
     digits.
+
+    Each accepted block is copied straight into the lexicon's matrix, so a
+    load holds one matrix plus one block. The matrix is mapped once, after
+    the header, with room for the declared count of rows, but never for more
+    rows than the file's size can hold. So `path` must name a regular file;
+    anything else (a pipe, a device) raises ValueError.
     """
-    vectors: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise ValueError(f"{path}: not a regular file, so its size cannot "
+                             "bound the lexicon")
         lines = enumerate(_lines(fh), start=1)
         lineno, header = next(lines, (1, b""))
         count, dim = _parse_header(
             _decode(lineno, header).removeprefix("\ufeff").rstrip("\r\n"))
+        # a row is at least a word and dim values, each one byte, with a
+        # separator before each value, so the file's size bounds the rows
+        # however large the header's count or dim
+        matrix = _mapped_matrix(min(count, info.st_size // (2 * dim + 1)), dim)
+        rows: dict[str, int] = {}  # word -> matrix row, in first-occurrence order
         rows_seen = 0
         while block := list(islice(lines, BLOCK_LINES)):
             lineno = block[-1][0]
             parsed = _parse_block(block, count - rows_seen, dim)
             if parsed is None:
-                rows_seen = _read_lines(block, rows_seen, count, dim, vectors)
+                rows_seen = _read_lines(block, rows_seen, count, dim, rows, matrix)
                 continue
-            for (n, word), vec in zip(*parsed):
-                _put(vectors, word, vec, n)
-            rows_seen += len(parsed[1])
+            numbered_words, values = parsed
+            start = len(rows)
+            targets = [_row_of(rows, word, n) for n, word in numbered_words]
+            if len(rows) - start == len(targets):  # all new: the next rows
+                matrix[start : len(rows)] = values
+            else:
+                for row, vec in zip(targets, values):
+                    matrix[row] = vec
+            rows_seen += len(values)
     if rows_seen < count:
         raise WordVectorParseError(
             f"line {lineno}: file ends after {rows_seen} of {count} rows")
-    return WordLexicon(vectors)
+    words = list(rows)
+    del rows  # freed before the lexicon builds its own word -> row dict
+    return WordLexicon(words, matrix[: len(words)])
+
+
+def _mapped_matrix(rows: int, dim: int) -> np.ndarray:
+    """A writable (rows, dim) float64 matrix in an anonymous mapping of its
+    own. Freeing a heap block this size through glibc's malloc would raise
+    the heap's trim threshold to twice the size, and the heap would then hold
+    on to that much freed memory. Pages become resident as rows are written."""
+    if rows == 0:
+        return np.empty((0, dim))
+    buffer = mmap.mmap(-1, rows * dim * 8)
+    return np.frombuffer(buffer, dtype=np.float64).reshape(rows, dim)
 
 
 def _lines(fh) -> Iterator[bytes]:
@@ -186,8 +223,8 @@ def _parse_block(block: list[tuple[int, bytes]], room: int,
 
 
 def _read_lines(block: list[tuple[int, bytes]], rows_seen: int, count: int,
-                dim: int, vectors: dict[str, np.ndarray]) -> int:
-    """Add a block of (line number, line) to `vectors` one line at a time,
+                dim: int, rows: dict[str, int], matrix: np.ndarray) -> int:
+    """Write a block of (line number, line) into `matrix` one line at a time,
     raising for the first bad line; return the rows seen so far."""
     for lineno, raw in block:
         line = _decode(lineno, raw)
@@ -209,16 +246,20 @@ def _read_lines(block: list[tuple[int, bytes]], rows_seen: int, count: int,
                 f"line {lineno}: non-numeric vector component") from None
         if not np.isfinite(vec).all():
             raise WordVectorParseError(f"line {lineno}: non-finite vector component")
-        _put(vectors, parts[0], vec, lineno)
+        matrix[_row_of(rows, parts[0], lineno)] = vec
     return rows_seen
 
 
-def _put(vectors: dict[str, np.ndarray], word: str, vec: np.ndarray,
-         lineno: int) -> None:
-    if word in vectors:
+def _row_of(rows: dict[str, int], word: str, lineno: int) -> int:
+    """The matrix row of `word`: the row of its first occurrence, with a
+    warning, or else the next free row."""
+    row = rows.get(word)
+    if row is None:
+        row = rows[word] = len(rows)
+    else:
         warnings.warn(f"duplicate word {word!r} at line {lineno}; "
                       "keeping the last occurrence")
-    vectors[word] = vec
+    return row
 
 
 def _parse_header(line: str) -> tuple[int, int]:

@@ -256,8 +256,11 @@ def rmsprop_step(theta: Tensor, state: RmspropState) -> None:
     = +0 from theta, and both leave every bit as it is. (That quotient is NaN
     only where acc is, which is only where an earlier NaN gradient already
     made theta NaN.) When every row is live the rows are a slice, so the
-    update runs in place on views.
+    update runs in place on views. A tensor without requires_grad raises
+    ValueError and leaves `state` as it is.
     """
+    if not theta.requires_grad:
+        raise ValueError("rmsprop_step: the tensor does not require grad")
     if theta.grad is None:
         theta.zero_grad()
     g = theta.grad

@@ -61,6 +61,14 @@ class TagScheme:
         return 8 * len(self.relations) + 1
 
     def tag_id(self, position: str, relation: str, role: int) -> int:
+        """The id of (position, relation, role); ValueError names a field the
+        scheme does not have."""
+        if position not in POSITIONS:
+            raise ValueError(f"position {position!r} is not one of {POSITIONS}")
+        if relation not in self.relations:
+            raise ValueError(f"relation {relation!r} is not in the scheme")
+        if role not in (HEAD, TAIL):
+            raise ValueError(f"role {role!r} is not {HEAD} (head) or {TAIL} (tail)")
         p = POSITIONS.index(position)
         r = self.relations.index(relation)
         return 1 + p * 2 * len(self.relations) + r * 2 + (role - 1)

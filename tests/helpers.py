@@ -1,8 +1,9 @@
 """Shared test utilities: the finite-difference gradient oracle, the autodiff
-ops only the oracles use, straight-line references for the word-vector
-loader, the embedding, the encoder and decoder recurrences and the RMSprop
-step, autodiff oracles for their fused kernels, a one-direction GRU node, an
-independent reference tag decoder and a random sentence maker."""
+ops only the oracles use, a word lexicon from a dict, straight-line
+references for the word-vector loader, the embedding, the encoder and
+decoder recurrences and the RMSprop step, autodiff oracles for their fused
+kernels, a one-direction GRU node, an independent reference tag decoder and
+a random sentence maker."""
 
 import dataclasses
 import warnings
@@ -11,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from tripletag import numerics as nm
-from tripletag.embedding import WordVectorParseError, segment
+from tripletag.embedding import WordLexicon, WordVectorParseError, segment
 from tripletag.encoder import GruCell
 from tripletag.numerics import Tensor
 from tripletag.tagging import HEAD, TAIL, Triple
@@ -117,6 +118,12 @@ def reference_gru_sequence(E, p):
         h = (1.0 - z) * h + z * cand
         out.append(h[0].copy())
     return np.array(out)
+
+
+def lexicon_of(vectors: dict) -> WordLexicon:
+    """The lexicon of a word -> vector dict, its rows in the dict's order."""
+    return WordLexicon(list(vectors), np.stack(
+        [np.asarray(v, dtype=np.float64) for v in vectors.values()]))
 
 
 def reference_load_word_vectors(path) -> dict:

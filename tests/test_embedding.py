@@ -1,4 +1,6 @@
+import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -8,16 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_diff_grad, reference_load_word_vectors, relative_error
+from helpers import (
+    finite_diff_grad, lexicon_of, reference_load_word_vectors, relative_error)
 from tripletag import embedding, numerics as nm
 from tripletag.embedding import (
     CharVocab, EmbedParams, WordLexicon, WordVectorParseError,
     load_word_vectors, mix_embed, segment)
 from tripletag.numerics import Tensor
-
-
-def lex(d: dict) -> WordLexicon:
-    return WordLexicon({w: np.asarray(v, dtype=float) for w, v in d.items()})
 
 
 class TestCharVocab:
@@ -152,6 +151,57 @@ class TestLoadWordVectors:
         lx = load_word_vectors(p)
         np.testing.assert_array_equal(lx.get("b"), [3, 4])
 
+    def test_a_load_holds_less_than_half_a_lexicon_more_than_it_keeps(self, tmp_path):
+        # 8,000 words span 16 blocks. The lexicon's matrix is mapped outside
+        # the heap tracemalloc sees, so the traced peak never holds a whole
+        # matrix, and what the load frees is less than half of one
+        words, dim = 8000, 64
+        values = np.random.default_rng(0).uniform(-1, 1, (words, dim))
+        p = tmp_path / "vec.txt"
+        p.write_text(f"{words} {dim}\n" + "".join(
+            f"w{i} " + " ".join(f"{x:.6f}" for x in row) + "\n"
+            for i, row in enumerate(values)))
+        tracemalloc.start()
+        try:
+            lx = load_word_vectors(p)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lx) == words and lx.dim == dim
+        assert peak < words * dim * 8
+        assert peak - kept < words * dim * 8 / 2
+
+    @pytest.mark.parametrize("body, message", [
+        ("3 1000000000\na 1\nb 2\n",
+         "line 2: expected 1 word + 1000000000 values, got 2 fields"),
+        ("1000000000000 2\na 1 2\nb 3 4\n",
+         "line 3: file ends after 2 of 1000000000000 rows"),
+    ], ids=["huge-dim", "huge-count"])
+    def test_a_huge_header_is_bounded_by_the_file(self, tmp_path, body, message):
+        p = tmp_path / "vec.txt"
+        p.write_text(body)
+        with pytest.raises(WordVectorParseError, match=f"^{re.escape(message)}$"):
+            load_word_vectors(p)
+
+    @pytest.mark.parametrize("second", [0, 7], ids=["first-line", "mid-block"])
+    def test_a_duplicate_across_a_block_edge_keeps_first_row_last_values(
+            self, tmp_path, second):
+        rows = [f"w{i} {i} 0" for i in range(embedding.BLOCK_LINES + 20)]
+        first = embedding.BLOCK_LINES - 1
+        rows[first] = "dup 1 1"
+        rows[first + 1 + second] = "dup 2 2"
+        p = tmp_path / "vec.txt"
+        p.write_text(f"{len(rows)} 2\n" + "\n".join(rows) + "\n")
+        with pytest.warns(UserWarning, match=f"'dup' at line {first + 3 + second}"):
+            lx = load_word_vectors(p)
+        assert list(lx._row)[first] == "dup" and len(lx) == len(rows) - 1
+        np.testing.assert_array_equal(lx.get("dup"), [2, 2])
+        np.testing.assert_array_equal(lx.get(f"w{len(rows) - 1}"), [len(rows) - 1, 0])
+
+    def test_a_file_that_is_not_regular_is_rejected(self):
+        with pytest.raises(ValueError, match="not a regular file"):
+            load_word_vectors("/dev/null")
+
 
 def loaded_rows(path) -> dict:
     """The production loader's lexicon as word -> row, in row order."""
@@ -243,36 +293,53 @@ class TestWordLexicon:
         vectors = {f"w{i}": np.array([1.0, -1.0]) for i in range(3000)}
         vectors[f"w{where}"] = np.array([0.5, value])
         with pytest.raises(ValueError, match=f"non-finite .*'w{where}'"):
-            WordLexicon(vectors)
+            lexicon_of(vectors)
 
     @pytest.mark.parametrize("vector", [np.zeros(0), np.zeros((1, 2))])
     def test_vectors_must_be_non_empty_rows(self, vector):
-        with pytest.raises(ValueError, match="non-empty 1-D"):
-            WordLexicon({"w": vector})
+        with pytest.raises(ValueError, match="non-empty 2-D"):
+            lexicon_of({"w": vector})
+
+    def test_rows_are_the_words_in_order_without_a_copy(self):
+        matrix = np.arange(6.0).reshape(3, 2)
+        lx = WordLexicon(["c", "a", "b"], matrix)
+        np.testing.assert_array_equal(lx.get("a"), [2, 3])
+        assert np.shares_memory(lx.get("b"), matrix) and len(lx) == 3
+
+    @pytest.mark.parametrize("words, rows, message", [
+        (["a", "b"], 3, "2 words but 3 matrix rows"),
+        (["a", "b", "c"], 2, "3 words but 2 matrix rows"),
+        (["a", "b", "a", "b", "c"], 5, r"duplicate words: \['a', 'b'\]"),
+        ([], 0, "lexicon is empty"),
+        (["a", ""], 2, "empty-string key"),
+    ])
+    def test_words_must_name_the_rows_once_each(self, words, rows, message):
+        with pytest.raises(ValueError, match=message):
+            WordLexicon(words, np.ones((rows, 2)))
 
 
 class TestSegment:
     def test_longest_match_wins(self):
-        lx = lex({"北京大学": [1.0], "北京": [2.0]})
+        lx = lexicon_of({"北京大学": [1.0], "北京": [2.0]})
         segs = segment("北京大学", lx)
         assert [(s.word, s.start, s.length) for s in segs] == [("北京大学", 0, 4)]
 
     def test_no_hits_gives_single_chars(self):
-        lx = lex({"zz": [1.0]})
+        lx = lexicon_of({"zz": [1.0]})
         segs = segment("abc", lx)
         assert [(s.word, s.start, s.length) for s in segs] == [
             ("a", 0, 1), ("b", 1, 1), ("c", 2, 1)]
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
-            segment("", lex({"a": [1.0]}))
+            segment("", lexicon_of({"a": [1.0]}))
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(alphabet="abcd", min_size=1, max_size=20),
            st.sets(st.text(alphabet="abcd", min_size=1, max_size=3),
                    min_size=1, max_size=8))
     def test_coverage(self, text, words):
-        lx = lex({w: [1.0, 2.0] for w in words})
+        lx = lexicon_of({w: [1.0, 2.0] for w in words})
         segs = segment(text, lx)
         assert "".join(s.word for s in segs) == text
         pos = 0
@@ -293,27 +360,27 @@ class TestMixEmbed:
 
     def test_zero_params_give_zero_output(self):
         vocab = CharVocab("ab")
-        lx = lex({"ab": [1.0, 2.0, 3.0]})
+        lx = lexicon_of({"ab": [1.0, 2.0, 3.0]})
         p = self.make(vocab, 3, 4, zero=True)
         out = mix_embed("ab", vocab, lx, p)
         np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
 
     def test_empty_text_rejected(self):
         vocab = CharVocab("ab")
-        lx = lex({"ab": [1.0, 2.0]})
+        lx = lexicon_of({"ab": [1.0, 2.0]})
         with pytest.raises(ValueError, match="text is empty"):
             mix_embed("", vocab, lx, self.make(vocab, 2, 3))
 
     def test_oov_char_equals_char_table_row(self):
         vocab = CharVocab("ab")
-        lx = lex({"ab": [1.0, 2.0]})
+        lx = lexicon_of({"ab": [1.0, 2.0]})
         p = self.make(vocab, 2, 3)
         out = mix_embed("z", vocab, lx, p)  # char OOV, no word hit
         np.testing.assert_array_equal(out.data, p.char_table.data[0:1, :])
 
     def test_word_component_shared_across_span(self):
         vocab = CharVocab("xyz")
-        lx = lex({"xyz": [0.5, -0.5]})
+        lx = lexicon_of({"xyz": [0.5, -0.5]})
         rng = np.random.default_rng(2)
         p = self.make(vocab, 2, 4, rng=rng)
         out = mix_embed("xyz", vocab, lx, p)
@@ -326,7 +393,7 @@ class TestMixEmbed:
 
     def test_row_count_equals_char_count(self):
         vocab = CharVocab("abcdef")
-        lx = lex({"ab": [1.0], "cde": [2.0]})
+        lx = lexicon_of({"ab": [1.0], "cde": [2.0]})
         p = self.make(vocab, 1, 3)
         for text in ("a", "abc", "abcdef", "zzz"):
             assert mix_embed(text, vocab, lx, p).shape == (len(text), 3)
@@ -334,7 +401,7 @@ class TestMixEmbed:
     def test_gradients_reach_table_and_projection_not_lexicon(self):
         vocab = CharVocab("xy")
         vec = np.array([1.0, 2.0])
-        lx = lex({"xy": vec})
+        lx = lexicon_of({"xy": vec})
         p = self.make(vocab, 2, 3)
         before = lx.get("xy").copy()
         out = mix_embed("xy", vocab, lx, p)
@@ -345,7 +412,7 @@ class TestMixEmbed:
 
     def test_gradient_matches_finite_differences(self):
         vocab = CharVocab("pqr")
-        lx = lex({"pq": [0.3, -0.7], "r": [1.1, 0.2]})
+        lx = lexicon_of({"pq": [0.3, -0.7], "r": [1.1, 0.2]})
         rng = np.random.default_rng(4)
         p = self.make(vocab, 2, 3, rng=rng)
         w = np.cos(np.arange(9)).reshape(3, 3)
@@ -362,7 +429,7 @@ class TestMixEmbed:
     def test_repeated_and_oov_chars_gradient(self):
         # 'p' three times, 'z' out of vocabulary (UNK row 0); 'r' and 's' absent
         vocab = CharVocab("pqrs")
-        lx = lex({"pq": [0.3, -0.7], "zp": [1.1, 0.2]})
+        lx = lexicon_of({"pq": [0.3, -0.7], "zp": [1.1, 0.2]})
         p = self.make(vocab, 2, 3, rng=np.random.default_rng(5))
         text = "pqpzp"
         w = np.cos(np.arange(15)).reshape(5, 3)

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    gru_node, named_tensors, oracle_decode_rows, oracle_gru_rows, oracle_mix_embed,
-    reference_decode_rollout, reference_gru_sequence, reference_mix_embed,
-    weighted_row_sum)
+    gru_node, lexicon_of, named_tensors, oracle_decode_rows, oracle_gru_rows,
+    oracle_mix_embed, reference_decode_rollout, reference_gru_sequence,
+    reference_mix_embed, weighted_row_sum)
 from tripletag import numerics as nm
 from tripletag.attention import AttnParams, attend
 from tripletag.decoder import DecoderParams, decode_sequence
-from tripletag.embedding import CharVocab, EmbedParams, WordLexicon, mix_embed
+from tripletag.embedding import CharVocab, EmbedParams, mix_embed
 from tripletag.encoder import BiGruParams, GruParams, encode
 from tripletag.numerics import Tensor
 
@@ -94,7 +94,7 @@ def test_mix_embed_matches_reference_and_oracle(text, words, m, d_w, seed):
     rng = np.random.default_rng(seed)
     vocab = CharVocab("abc")
     text += text[0] + "x"  # a repeated character and an out-of-vocabulary one
-    lexicon = WordLexicon({w: rng.uniform(-1, 1, d_w) for w in sorted(words)})
+    lexicon = lexicon_of({w: rng.uniform(-1, 1, d_w) for w in sorted(words)})
     p = EmbedParams.init(rng, len(vocab), m, d_w)
     w = rng.uniform(-1, 1, (len(text), m))
     args = (text, vocab, lexicon, p)
@@ -167,14 +167,14 @@ def test_encode_is_one_node_above_its_input():
 def test_mix_embed_is_one_node_above_its_parameters():
     vocab = CharVocab("ab")
     p = EmbedParams.init(np.random.default_rng(5), len(vocab), 3, 2)
-    out = mix_embed("abza", vocab, WordLexicon({"ab": np.ones(2)}), p)
+    out = mix_embed("abza", vocab, lexicon_of({"ab": np.ones(2)}), p)
     assert graph_nodes(out) == 1
     assert out._parents == (p.char_table, p.projection)
 
 
 def test_char_id_outside_char_table_rejected():
     vocab = CharVocab("abc")
-    lexicon = WordLexicon({"ab": np.ones(2)})
+    lexicon = lexicon_of({"ab": np.ones(2)})
     p = EmbedParams.init(np.random.default_rng(6), len(vocab) - 1, 3, 2)  # no row for c
     assert mix_embed("ab", vocab, lexicon, p).shape == (2, 3)
     with pytest.raises(nm.DimensionError, match="char id 3"):

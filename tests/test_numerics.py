@@ -226,6 +226,14 @@ def test_gradient_through_shared_subexpression():
 
 
 class TestRmsprop:
+    def test_a_tensor_without_requires_grad_is_rejected_untouched(self):
+        theta = Tensor([[1.0, -2.0]])
+        state = nm.RmspropState(learning_rate=0.1)
+        with pytest.raises(ValueError, match="does not require grad"):
+            nm.rmsprop_step(theta, state)
+        assert not state._acc and theta.grad is None
+        np.testing.assert_array_equal(theta.data, [[1.0, -2.0]])
+
     def test_zero_grad_leaves_theta(self):
         theta = Tensor([[1.0, -2.0]], requires_grad=True)
         nm.rmsprop_step(theta, nm.RmspropState(learning_rate=0.1))

@@ -55,6 +55,26 @@ class TestScheme:
         assert len(seen) == scheme.k - 1
         assert scheme.tag_info(0) is None
 
+    def test_every_valid_field_triple_round_trips(self):
+        scheme = build_scheme(["a", "b", "c"])
+        fields = list(itertools.product(tagging.POSITIONS, scheme.relations,
+                                        (tagging.HEAD, tagging.TAIL)))
+        ids = [scheme.tag_id(*f) for f in fields]
+        assert sorted(ids) == list(range(1, scheme.k))
+        assert [scheme.tag_info(i) for i in ids] == fields
+
+    @pytest.mark.parametrize("position, relation, role, message", [
+        ("B", "a", 3, "role 3"),
+        ("B", "a", 0, "role 0"),
+        ("B", "a", -1, "role -1"),
+        ("X", "a", 1, "position 'X'"),
+        ("O", "a", 1, "position 'O'"),
+        ("B", "z", 1, "relation 'z'"),
+    ])
+    def test_a_bad_field_is_rejected_by_name(self, position, relation, role, message):
+        with pytest.raises(ValueError, match=message):
+            build_scheme(["a", "b"]).tag_id(position, relation, role)
+
 
 class TestEncode:
     def test_relation_outside_scheme_rejected(self):
