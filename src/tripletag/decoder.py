@@ -9,8 +9,8 @@ over a linear map of T yields the per-character tag distribution.
 
 The whole recurrence is one autodiff node, `label_feedback_sequence`: the
 encoder's `GruCell` with the label-feedback term added to its gates, and a
-hand-written backpropagation through time. The tag distribution is then one
-matmul and one softmax over all n label rows.
+hand-written backpropagation through time. The tag head over all n label
+rows, `tag_distribution`, is the second node.
 """
 
 from __future__ import annotations
@@ -105,8 +105,17 @@ def label_feedback_sequence(h_stars: Tensor, p: DecoderParams) -> Tensor:
 
 
 def tag_distribution(T: Tensor, p: DecoderParams) -> Tensor:
-    """(n, k) probability rows: softmax of the linear tag logits of each T row."""
-    return nm.softmax_rows(nm.add(nm.matmul(T, p.W_Y), p.b_Y))
+    """(n, k) probability rows: softmax of the linear tag logits of each T
+    row, as a single autodiff node."""
+    Y = nm.softmax(T.data @ p.W_Y.data + p.b_Y.data)
+
+    def backward(g: np.ndarray) -> None:
+        dZ = nm.softmax_grad(Y, g)
+        nm.accumulate(T, dZ @ p.W_Y.data.T)
+        nm.accumulate(p.W_Y, T.data.T @ dZ)
+        nm.accumulate(p.b_Y, dZ.sum(axis=0, keepdims=True))
+
+    return nm.result(Y, (T, p.W_Y, p.b_Y), backward)
 
 
 def decode_sequence(h_stars: Tensor,

@@ -1,22 +1,24 @@
 """Minimal dense-tensor kernel with reverse-mode autodiff and RMSprop.
 
 Everything the tagging model needs and nothing more: 2-D float64 tensors,
-the ops attention and the loss compose (matmul, add, mul, clamped log, scale,
-sum_all, row softmax, transpose), gradient accumulation via a recorded graph,
-and the RMSprop update. That update decays every accumulator entry but does
+gradient accumulation via a recorded graph, the RMSprop update and the
+parameter initialisers. That update decays every accumulator entry but does
 the rest only on the rows with a non-zero gradient, in place, and gives the
 same bits as the dense update: a character-table step costs the characters
 the sentence used, not the whole vocabulary.
 
-Layers with a fused kernel (the mixed embedding and the GRU recurrences)
-build their own one-node ops from ``result`` and ``accumulate``: the kernel
-computes its output in numpy and hands ``result`` a backward closure that
-accumulates every input's gradient at once. ``accumulate`` is the one gradient
-gate: it skips tensors without ``requires_grad``, so closures call it for all.
+Every layer is a fused kernel: it computes its output in numpy and hands
+``result`` a backward closure that accumulates every input's gradient at
+once. ``accumulate`` is the one gradient gate: it skips tensors without
+``requires_grad``, so closures call it for all. Attention and the tag head
+share the array row softmax, ``softmax`` and ``softmax_grad``.
+
+The graph ops left, ``mul``, ``log``, ``scale`` and ``sum_all``, are those
+the cross-entropy loss and a staged backward's seeds compose. The oracles'
+matmul, add, row softmax and transpose live in tests/helpers.py.
 
 Conventions: tensors are 2-D; "vectors" are row vectors of shape (1, d).
-Gradients accumulate additively; callers zero them between steps. No
-broadcasting except adding a (1, d) bias row onto an (n, d) matrix.
+Gradients accumulate additively; callers zero them between steps.
 """
 
 from __future__ import annotations
@@ -101,36 +103,6 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product a @ b; shapes (m,k) x (k,n) -> (m,n)."""
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g: np.ndarray) -> None:
-        accumulate(a, g @ b.data.T)
-        accumulate(b, a.data.T @ g)
-
-    return result(out_data, (a, b), backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also permits adding a (1,d) bias row onto (n,d)."""
-    if a.shape == b.shape:
-        pass
-    elif b.shape == (1, a.shape[1]):
-        pass  # bias-row broadcast, the one permitted exception
-    else:
-        raise DimensionError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    out_data = a.data + b.data
-
-    def backward(g: np.ndarray) -> None:
-        accumulate(a, g)
-        accumulate(b, g if b.shape == g.shape else g.sum(axis=0, keepdims=True))
-
-    return result(out_data, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product, identical shapes only."""
     if a.shape != b.shape:
@@ -174,24 +146,15 @@ def sum_all(a: Tensor) -> Tensor:
     return result(np.array([[a.data.sum()]]), (a,), backward)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction; every row sums to 1."""
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        dot = (g * y).sum(axis=1, keepdims=True)
-        accumulate(a, y * (g - dot))
-
-    return result(y, (a,), backward)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an array, with max subtraction; rows sum to 1."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def transpose(a: Tensor) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        accumulate(a, g.T)
-
-    return result(a.data.T.copy(), (a,), backward)
+def softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The logits' gradient, given the softmax rows y and their gradient g."""
+    return y * (g - (g * y).sum(axis=1, keepdims=True))
 
 
 def backward(root: Tensor) -> None:

@@ -1,9 +1,11 @@
-"""Shared test utilities: the finite-difference gradient oracle, the autodiff
-ops only the oracles use, a word lexicon from a dict, straight-line
-references for the word-vector loader, the embedding, the encoder and
-decoder recurrences and the RMSprop step, autodiff oracles for their fused
-kernels, a one-direction GRU node, an independent reference tag decoder and
-a random sentence maker."""
+"""Shared test utilities: the finite-difference gradient oracle; the graph
+ops the library no longer has (matmul, add, row softmax, transpose, sub,
+sigmoid, tanh), which only the oracles compose; a word lexicon from a dict;
+straight-line references for the word-vector loader, the embedding, the
+encoder and decoder recurrences and the RMSprop step; autodiff oracles for
+every one-node kernel (embedding, recurrences, attention, tag head); a
+one-direction GRU node; an independent reference tag decoder and a random
+sentence maker."""
 
 import dataclasses
 import warnings
@@ -53,8 +55,51 @@ def relative_error(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> float:
     return float(err.max()) if err.size else 0.0
 
 
-# Elementwise ops that the library no longer composes; the per-step oracles
-# below are built from them.
+# Graph ops that the library no longer composes; the oracles below are built
+# from them, and tests/test_numerics.py checks each against finite
+# differences.
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product a @ b; shapes (m,k) x (k,n) -> (m,n)."""
+    if a.shape[1] != b.shape[0]:
+        raise nm.DimensionError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
+
+    def backward(g: np.ndarray) -> None:
+        nm.accumulate(a, g @ b.data.T)
+        nm.accumulate(b, a.data.T @ g)
+
+    return nm.result(a.data @ b.data, (a, b), backward)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; also permits adding a (1,d) bias row onto (n,d)."""
+    if b.shape not in (a.shape, (1, a.shape[1])):
+        raise nm.DimensionError(f"add: shape mismatch {a.shape} vs {b.shape}")
+
+    def backward(g: np.ndarray) -> None:
+        nm.accumulate(a, g)
+        nm.accumulate(b, g if b.shape == g.shape else g.sum(axis=0, keepdims=True))
+
+    return nm.result(a.data + b.data, (a, b), backward)
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    """Row-wise softmax with max subtraction; every row sums to 1."""
+    e = np.exp(a.data - a.data.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)
+
+    def backward(g: np.ndarray) -> None:
+        nm.accumulate(a, y * (g - (g * y).sum(axis=1, keepdims=True)))
+
+    return nm.result(y, (a,), backward)
+
+
+def transpose(a: Tensor) -> Tensor:
+    def backward(g: np.ndarray) -> None:
+        nm.accumulate(a, g.T)
+
+    return nm.result(a.data.T.copy(), (a,), backward)
+
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
@@ -226,24 +271,38 @@ def reference_rmsprop(theta, acc, grad, learning_rate):
     return theta, acc
 
 
-# Autodiff compositions of the fused kernels, built from the numerics ops:
-# the embedding from a selector product, each recurrence as one small graph
-# per character. They are the gradient oracles for the one-node kernels and
-# share no code with them.
+# Autodiff compositions of the fused kernels, built from the graph ops above:
+# the embedding from a selector product, attention and the tag head as small
+# graphs of whole-matrix ops, each recurrence as one small graph per
+# character. They are the gradient oracles for the one-node kernels and share
+# no code with them.
 
 def oracle_mix_embed(text, vocab, lexicon, p):
     """The mixed embedding as a graph composition: char-table rows picked by a
     constant one-hot selector product, plus the word rows times the
     projection."""
     onehot = np.eye(p.char_table.shape[0])[vocab.ids(text)]
-    return nm.add(nm.matmul(Tensor(onehot), p.char_table),
-                  nm.matmul(Tensor(word_matrix(text, lexicon)), p.projection))
+    return add(matmul(Tensor(onehot), p.char_table),
+               matmul(Tensor(word_matrix(text, lexicon)), p.projection))
+
+
+def oracle_attend(H, p):
+    """Self-attention as a graph composition: the query, key and value
+    products, the scaled score matrix, its row softmax and the mix."""
+    scores = nm.scale(matmul(matmul(H, p.W_Q), transpose(matmul(H, p.W_K))),
+                      1.0 / np.sqrt(p.d_k))
+    return matmul(softmax_rows(scores), matmul(H, p.W_V))
+
+
+def oracle_tag_distribution(T, p):
+    """The decoder's tag head as a graph composition."""
+    return softmax_rows(add(matmul(T, p.W_Y), p.b_Y))
 
 
 def row(X, t):
     """Row t of X as a (1, d) graph node: the product with a constant 0/1 row
     selector, so gradients flow back into X."""
-    return nm.matmul(Tensor(np.eye(X.shape[0])[t : t + 1]), X)
+    return matmul(Tensor(np.eye(X.shape[0])[t : t + 1]), X)
 
 
 def gate_blocks(t, count):
@@ -252,20 +311,20 @@ def gate_blocks(t, count):
     flow back into t."""
     width = t.shape[1] // count
     eye = np.eye(t.shape[1])
-    return [nm.matmul(t, Tensor(eye[:, i * width : (i + 1) * width]))
+    return [matmul(t, Tensor(eye[:, i * width : (i + 1) * width]))
             for i in range(count)]
 
 
 def _gate(terms, b):
-    out = nm.matmul(*terms[0])
+    out = matmul(*terms[0])
     for x, w in terms[1:]:
-        out = nm.add(out, nm.matmul(x, w))
-    return nm.add(out, b)
+        out = add(out, matmul(x, w))
+    return add(out, b)
 
 
 def _gru_update(z, h_prev, cand):
     ones = Tensor(np.ones(z.shape))
-    return nm.add(nm.mul(sub(ones, z), h_prev), nm.mul(z, cand))
+    return add(nm.mul(sub(ones, z), h_prev), nm.mul(z, cand))
 
 
 def oracle_gru_rows(X, p, reverse=False):
@@ -303,10 +362,10 @@ def oracle_decode_rows(h_stars, p):
         z = sigmoid(_gate([(x, Wz), (h, Uz), (T, Vz)], bz))
         cand = tanh(_gate([(x, W), (nm.mul(r, h), p.U), (T, V)], b))
         h = _gru_update(z, h, cand)
-        T = tanh(nm.add(nm.matmul(h, p.W_T), p.b_T))
+        T = tanh(add(matmul(h, p.W_T), p.b_T))
         states.append(h)
         labels.append(T)
-        probs.append(nm.softmax_rows(nm.add(nm.matmul(T, p.W_Y), p.b_Y)))
+        probs.append(oracle_tag_distribution(T, p))
     return states, labels, probs
 
 
@@ -314,7 +373,7 @@ def weighted_row_sum(rows, weights):
     """sum_t rows[t] . weights[t] as a (1, 1) tensor, summed step by step."""
     total = nm.sum_all(nm.mul(rows[0], Tensor(weights[0:1])))
     for t in range(1, len(rows)):
-        total = nm.add(total, nm.sum_all(nm.mul(rows[t], Tensor(weights[t : t + 1]))))
+        total = add(total, nm.sum_all(nm.mul(rows[t], Tensor(weights[t : t + 1]))))
     return total
 
 

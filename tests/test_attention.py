@@ -3,7 +3,7 @@ import pytest
 
 from helpers import finite_diff_grad, relative_error
 from tripletag import numerics as nm
-from tripletag.attention import AttnParams, attend, attention_weights
+from tripletag.attention import AttnParams, attend
 from tripletag.numerics import Tensor
 
 
@@ -37,12 +37,17 @@ class TestAttend:
         p = AttnParams.init(rng, 3)
         base = rng.uniform(-1, 1, (1, 3))
         H = np.vstack([base, base])
-        A = attention_weights(Tensor(H), p)
-        np.testing.assert_allclose(A.data, np.full((2, 2), 0.5), atol=1e-12)
         out = attend(Tensor(H), p)
         avg = 0.5 * (H[0] + H[1]) @ p.W_V.data
         np.testing.assert_allclose(out.data[0], avg, atol=1e-12)
         np.testing.assert_allclose(out.data[1], avg, atol=1e-12)
+        # rows with identical keys but different values weigh 0.5 each: with
+        # W_K's last row zero, rows that differ only in the last coordinate
+        p.W_K.data[-1] = 0.0
+        H[1, -1] += 1.0
+        avg = 0.5 * (H[0] + H[1]) @ p.W_V.data
+        np.testing.assert_allclose(attend(Tensor(H), p).data, np.vstack([avg, avg]),
+                                   atol=1e-12)
 
     def test_matrix_form_equals_summation_form(self):
         rng = np.random.default_rng(2)
@@ -61,11 +66,18 @@ class TestAttend:
                                    summation_form(H, p), atol=1e-12)
 
     def test_rows_sum_to_one(self):
+        # with W_V = I each output row is the weights times H: a constant
+        # column comes out unchanged only if every weight row sums to one,
+        # and each column stays within its range over H when no weight leaves
+        # [0, 1]
         rng = np.random.default_rng(3)
         p = AttnParams.init(rng, 5)
-        A = attention_weights(Tensor(rng.uniform(-3, 3, (6, 5))), p).data
-        np.testing.assert_allclose(A.sum(axis=1), np.ones(6), atol=1e-9)
-        assert np.all((A >= 0) & (A <= 1))
+        p.W_V.data[:] = np.eye(5)
+        H = rng.uniform(-3, 3, (6, 5))
+        H[:, 2] = 0.7
+        out = attend(Tensor(H), p).data
+        np.testing.assert_allclose(out[:, 2], np.full(6, 0.7), atol=1e-12)
+        assert np.all((out >= H.min(axis=0) - 1e-12) & (out <= H.max(axis=0) + 1e-12))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
@@ -90,13 +102,13 @@ class TestAttend:
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     p = AttnParams.init(rng, 3)
-    H = rng.uniform(-1, 1, (4, 3))
+    H = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
     mask = np.sin(np.arange(12)).reshape(4, 3)
 
     def loss():
-        return float((attend(Tensor(H), p).data * mask).sum())
+        return float((attend(H, p).data * mask).sum())
 
-    nm.backward(nm.sum_all(nm.mul(attend(Tensor(H), p), Tensor(mask))))
-    for name, theta in (("W_Q", p.W_Q), ("W_K", p.W_K), ("W_V", p.W_V)):
+    nm.backward(nm.sum_all(nm.mul(attend(H, p), Tensor(mask))))
+    for name, theta in (("H", H), ("W_Q", p.W_Q), ("W_K", p.W_K), ("W_V", p.W_V)):
         fd = finite_diff_grad(loss, theta, h=1e-5)
         assert relative_error(theta.grad, fd) < 1e-4, name

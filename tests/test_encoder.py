@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    finite_diff_grad, gate_blocks, named_tensors, reference_gru_sequence,
-    relative_error, sigmoid)
+    add, finite_diff_grad, gate_blocks, matmul, named_tensors,
+    reference_gru_sequence, relative_error, sigmoid)
 from tripletag import numerics as nm
 from tripletag.encoder import BiGruParams, GruCell, GruParams, encode
 from tripletag.numerics import Tensor
@@ -129,8 +129,8 @@ def test_gate_outputs_in_open_unit_interval():
     W_z, W_r, _ = gate_blocks(p.W, 3)
     U_z, U_r = gate_blocks(p.U_zr, 2)
     b_z, b_r, _ = gate_blocks(p.b, 3)
-    z = sigmoid(nm.add(nm.add(nm.matmul(w, W_z), nm.matmul(h, U_z)), b_z))
-    r = sigmoid(nm.add(nm.add(nm.matmul(w, W_r), nm.matmul(h, U_r)), b_r))
+    z = sigmoid(add(add(matmul(w, W_z), matmul(h, U_z)), b_z))
+    r = sigmoid(add(add(matmul(w, W_r), matmul(h, U_r)), b_r))
     for g in (z.data, r.data):
         assert np.all((g > 0.0) & (g < 1.0))
 

@@ -1,6 +1,7 @@
-"""The one-node kernels (mixed embedding, recurrences) against straight-line
-references and the autodiff oracles of tests/helpers.py, and the gradient
-gate they rely on."""
+"""The one-node kernels (the mixed embedding, the encoder and decoder
+recurrences, attention and the tag head) against straight-line references
+and the autodiff oracles of tests/helpers.py, and the gradient gate they rely
+on."""
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    gru_node, lexicon_of, named_tensors, oracle_decode_rows, oracle_gru_rows,
-    oracle_mix_embed, reference_decode_rollout, reference_gru_sequence,
+    add, gru_node, lexicon_of, matmul, named_tensors, oracle_attend,
+    oracle_decode_rows, oracle_gru_rows, oracle_mix_embed,
+    oracle_tag_distribution, reference_decode_rollout, reference_gru_sequence,
     reference_mix_embed, weighted_row_sum)
 from tripletag import numerics as nm
 from tripletag.attention import AttnParams, attend
-from tripletag.decoder import DecoderParams, decode_sequence
+from tripletag.decoder import (DecoderParams, decode_sequence,
+                               label_feedback_sequence, tag_distribution)
 from tripletag.embedding import CharVocab, EmbedParams, mix_embed
 from tripletag.encoder import BiGruParams, GruParams, encode
 from tripletag.numerics import Tensor
@@ -60,7 +63,7 @@ def check_encode(rng, n, m, d):
     np.testing.assert_allclose(encode(E, p).data, want, rtol=0, atol=ATOL)
 
     def oracle():
-        return nm.add(
+        return add(
             weighted_row_sum(oracle_gru_rows(E, p.forward), w[:, :d]),
             weighted_row_sum(oracle_gru_rows(E, p.backward, reverse=True), w[:, d:]))
 
@@ -80,6 +83,29 @@ def check_decode_sequence(rng, n, d_v, d_dec, tau, k):
     assert_same_gradients(lambda: weighted(decode_sequence(Hstar, p)[1], w),
                           lambda: weighted_row_sum(oracle_decode_rows(Hstar, p)[2], w),
                           [("h_stars", Hstar)] + named_tensors(p))
+
+
+def check_attend(rng, n, d):
+    p = AttnParams.init(rng, d)
+    H = Tensor(rng.uniform(-2, 2, (n, d)), requires_grad=True)
+    w = rng.uniform(-1, 1, (n, d))
+    np.testing.assert_allclose(attend(H, p).data, oracle_attend(H, p).data,
+                               rtol=0, atol=ATOL)
+    assert_same_gradients(lambda: weighted(attend(H, p), w),
+                          lambda: weighted(oracle_attend(H, p), w),
+                          [("H", H)] + named_tensors(p))
+
+
+def check_tag_distribution(rng, n, tau, k):
+    p = DecoderParams.init(rng, 2, 2, tau, k)
+    p.b_Y.data[:] = rng.uniform(-1, 1, (1, k))  # a bias that is not zero
+    T = Tensor(rng.uniform(-1, 1, (n, tau)), requires_grad=True)
+    w = rng.uniform(-1, 1, (n, k))
+    np.testing.assert_allclose(tag_distribution(T, p).data,
+                               oracle_tag_distribution(T, p).data, rtol=0, atol=ATOL)
+    assert_same_gradients(lambda: weighted(tag_distribution(T, p), w),
+                          lambda: weighted(oracle_tag_distribution(T, p), w),
+                          [("T", T), ("W_Y", p.W_Y), ("b_Y", p.b_Y)])
 
 
 dims = st.integers(1, 5)
@@ -123,9 +149,25 @@ def test_decode_sequence_matches_reference_and_oracle(n, d_v, d_dec, tau, k, see
     check_decode_sequence(np.random.default_rng(seed), n, d_v, d_dec, tau, k)
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), d=dims, seed=st.integers(0, 2**32 - 1))
+def test_attend_matches_oracle(n, d, seed):
+    check_attend(np.random.default_rng(seed), n, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), tau=st.integers(1, 4), k=st.integers(2, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_tag_distribution_matches_oracle(n, tau, k, seed):
+    check_tag_distribution(np.random.default_rng(seed), n, tau, k)
+
+
 def test_model_sized_kernels_match_oracle():
-    # the benchmark's dims: d = 100, tau = 50, a 40-character sentence
+    # the benchmark's dims: d = 100, tau = 50, a 40-character sentence; attention
+    # reads the 200-wide encoder output, also at train_long's longest length
     check_encode(np.random.default_rng(0), 40, 100, 100)
+    check_attend(np.random.default_rng(8), 40, 200)
+    check_attend(np.random.default_rng(9), 160, 200)
     check_decode_sequence(np.random.default_rng(1), 40, 200, 100, 50, 20)
 
 
@@ -172,6 +214,28 @@ def test_mix_embed_is_one_node_above_its_parameters():
     assert out._parents == (p.char_table, p.projection)
 
 
+def test_attend_is_one_node_above_its_inputs():
+    rng = np.random.default_rng(10)
+    H = Tensor(rng.uniform(-1, 1, (5, 4)), requires_grad=True)
+    p = AttnParams.init(rng, 4)
+    out = attend(H, p)
+    assert graph_nodes(out) == 1
+    assert out._parents == (H, p.W_Q, p.W_K, p.W_V)
+
+
+def test_decoder_is_two_nodes_above_its_input():
+    rng = np.random.default_rng(11)
+    X = Tensor(rng.uniform(-1, 1, (5, 4)), requires_grad=True)
+    p = DecoderParams.init(rng, 4, 3, 2, 5)
+    _, probs = decode_sequence(X, p)
+    assert graph_nodes(probs) == 2
+    T = probs._parents[0]
+    assert probs._parents == (T, p.W_Y, p.b_Y)
+    assert T._parents[0] is X
+    np.testing.assert_array_equal(T.data, label_feedback_sequence(X, p).data)
+    np.testing.assert_array_equal(probs.data, tag_distribution(T, p).data)
+
+
 def test_char_id_outside_char_table_rejected():
     vocab = CharVocab("abc")
     lexicon = lexicon_of({"ab": np.ones(2)})
@@ -181,12 +245,12 @@ def test_char_id_outside_char_table_rejected():
         mix_embed("abc", vocab, lexicon, p)
 
 
-@pytest.mark.parametrize("op", [nm.mul, nm.matmul], ids=["mul", "matmul"])
+@pytest.mark.parametrize("op", [nm.mul, matmul], ids=["mul", "matmul"])
 def test_constant_operand_takes_no_gradient(op):
     rng = np.random.default_rng(7)
     x = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
     c = Tensor(rng.uniform(-1, 1, (3, 3)))
-    nm.backward(nm.sum_all(nm.add(op(x, c), op(c, x))))
+    nm.backward(nm.sum_all(add(op(x, c), op(c, x))))
     assert c.grad is None
     assert np.all(x.grad != 0)
 
@@ -198,3 +262,5 @@ def test_wrong_input_width_rejected(width):
         encode(Tensor(np.zeros((3, width))), BiGruParams.init(rng, 3, 2))
     with pytest.raises(nm.DimensionError):
         decode_sequence(Tensor(np.zeros((3, width))), DecoderParams.init(rng, 3, 2, 2, 3))
+    with pytest.raises(nm.DimensionError, match="attend: input width"):
+        attend(Tensor(np.zeros((3, width))), AttnParams.init(rng, 3))

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (finite_diff_grad, named_tensors, reference_rmsprop,
-                     relative_error, sigmoid, sub, tanh)
+from helpers import (add, finite_diff_grad, matmul, named_tensors,
+                     reference_rmsprop, relative_error, sigmoid, softmax_rows,
+                     sub, tanh, transpose)
 from tripletag import numerics as nm
 from tripletag.attention import AttnParams
 from tripletag.decoder import DecoderParams
@@ -34,23 +35,23 @@ def triple_loop_matmul(a, b):
 class TestMatmul:
     def test_identity(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = nm.matmul(a, Tensor(np.eye(2)))
+        out = matmul(a, Tensor(np.eye(2)))
         np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_hand_product(self):
-        out = nm.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0], [6.0]]))
+        out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0], [6.0]]))
         np.testing.assert_array_equal(out.data, [[17.0], [39.0]])
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(0)
         a = rng.uniform(-2, 2, (4, 3))
         b = rng.uniform(-2, 2, (3, 2))
-        out = nm.matmul(Tensor(a), Tensor(b))
+        out = matmul(Tensor(a), Tensor(b))
         np.testing.assert_allclose(out.data, triple_loop_matmul(a, b), atol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(nm.DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            nm.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
 
 class TestElementwise:
@@ -61,21 +62,21 @@ class TestElementwise:
         assert tanh(Tensor([[0.0]])).item() == 0.0
 
     def test_add(self):
-        out = nm.add(Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]]))
+        out = add(Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]]))
         np.testing.assert_array_equal(out.data, [[4.0, 6.0]])
 
     def test_bias_row_broadcast(self):
-        out = nm.add(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[10.0, 20.0]]))
+        out = add(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[10.0, 20.0]]))
         np.testing.assert_array_equal(out.data, [[11.0, 22.0], [13.0, 24.0]])
 
     def test_bias_row_broadcast_gradient_sums(self):
         b = Tensor([[0.0, 0.0]], requires_grad=True)
-        out = nm.add(Tensor(np.ones((3, 2))), b)
+        out = add(Tensor(np.ones((3, 2))), b)
         nm.backward(nm.sum_all(out))
         np.testing.assert_array_equal(b.grad, [[3.0, 3.0]])
 
     def test_binary_shape_mismatch(self):
-        for op in (nm.add, sub, nm.mul):
+        for op in (add, sub, nm.mul):
             with pytest.raises(nm.DimensionError):
                 op(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))))
 
@@ -91,24 +92,43 @@ class TestElementwise:
 class TestSoftmaxRows:
     def test_uniform_logits(self):
         np.testing.assert_allclose(
-            nm.softmax_rows(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]])
+            softmax_rows(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]])
 
     def test_large_logits_no_overflow(self):
-        out = nm.softmax_rows(Tensor([[1000.0, 1000.0, 1000.0]])).data
+        out = softmax_rows(Tensor([[1000.0, 1000.0, 1000.0]])).data
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_log_logits(self):
-        out = nm.softmax_rows(
+        out = softmax_rows(
             Tensor([[math.log(1), math.log(2), math.log(3)]])).data
         np.testing.assert_allclose(out, [[1 / 6, 2 / 6, 3 / 6]], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            out = nm.softmax_rows(Tensor(rng.uniform(-50, 50, (4, 7)))).data
+            out = softmax_rows(Tensor(rng.uniform(-50, 50, (4, 7)))).data
             np.testing.assert_allclose(out.sum(axis=1), np.ones(4), atol=1e-9)
             assert np.all((out >= 0) & (out <= 1))
+
+
+class TestSoftmax:
+    """The array row softmax the attention and tag-head kernels share."""
+
+    def test_same_bits_as_the_graph_op(self):
+        x = np.random.default_rng(3).uniform(-50, 50, (4, 7))
+        assert nm.softmax(x).tobytes() == softmax_rows(Tensor(x)).data.tobytes()
+
+    def test_large_logits_no_overflow(self):
+        np.testing.assert_allclose(nm.softmax(np.full((2, 3), 1000.0)),
+                                   np.full((2, 3), 1 / 3))
+
+    def test_grad_matches_finite_differences(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.uniform(-2, 2, (3, 5)))
+        w = rng.uniform(-1, 1, (3, 5))
+        fd = finite_diff_grad(lambda: float((nm.softmax(x.data) * w).sum()), x)
+        assert relative_error(nm.softmax_grad(nm.softmax(x.data), w), fd) < 1e-4
 
 
 class TestBackward:
@@ -135,7 +155,7 @@ class TestBackward:
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(nm.DimensionError):
-            nm.backward(nm.add(x, x))
+            nm.backward(add(x, x))
 
     def test_deep_chain_no_recursion_limit(self):
         x = Tensor([[0.1]], requires_grad=True)
@@ -182,15 +202,15 @@ def _gradcheck(build, shapes, seed, span=2.0):
 
 
 OP_CASES = {
-    "matmul": (lambda a, b: nm.matmul(a, b), [(3, 4), (4, 2)]),
-    "add": (lambda a, b: nm.add(a, b), [(3, 4), (3, 4)]),
-    "add_bias_row": (lambda a, b: nm.add(a, b), [(3, 4), (1, 4)]),
+    "matmul": (lambda a, b: matmul(a, b), [(3, 4), (4, 2)]),
+    "add": (lambda a, b: add(a, b), [(3, 4), (3, 4)]),
+    "add_bias_row": (lambda a, b: add(a, b), [(3, 4), (1, 4)]),
     "sub": (lambda a, b: sub(a, b), [(3, 4), (3, 4)]),
     "mul": (lambda a, b: nm.mul(a, b), [(3, 4), (3, 4)]),
     "sigmoid": (lambda a: sigmoid(a), [(3, 4)]),
     "tanh": (lambda a: tanh(a), [(3, 4)]),
-    "softmax_rows": (lambda a: nm.softmax_rows(a), [(3, 5)]),
-    "transpose": (lambda a: nm.transpose(a), [(3, 4)]),
+    "softmax_rows": (lambda a: softmax_rows(a), [(3, 5)]),
+    "transpose": (lambda a: transpose(a), [(3, 4)]),
     "sum_all": (lambda a: nm.sum_all(a), [(3, 4)]),
     "scale": (lambda a: nm.scale(a, -2.5), [(3, 4)]),
     "log_positive": (lambda a: nm.log(sigmoid(a)), [(3, 4)]),
@@ -208,7 +228,7 @@ def test_per_op_gradients_match_finite_differences(name, seed):
 def test_three_op_composition_gradient(seed):
     # gradient of the whole composition, not just per-op
     def build(a, b, c):
-        return nm.softmax_rows(tanh(nm.matmul(nm.add(a, b), c)))
+        return softmax_rows(tanh(matmul(add(a, b), c)))
 
     assert _gradcheck(build, [(3, 4), (3, 4), (4, 5)], seed) < 1e-4
 
@@ -420,7 +440,7 @@ def test_determinism_same_seed_same_bits():
         rng = np.random.default_rng(42)
         a = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
-        out = nm.softmax_rows(nm.matmul(tanh(a), sigmoid(b)))
+        out = softmax_rows(matmul(tanh(a), sigmoid(b)))
         nm.backward(nm.sum_all(nm.mul(out, out)))
         return out.data.tobytes(), a.grad.tobytes(), b.grad.tobytes()
 
@@ -430,6 +450,6 @@ def test_determinism_same_seed_same_bits():
 def test_finite_outputs_on_finite_inputs():
     rng = np.random.default_rng(6)
     x = Tensor(rng.uniform(-100, 100, (4, 4)))
-    for op in (sigmoid, tanh, nm.softmax_rows,
-               lambda t: nm.log(nm.softmax_rows(t))):
+    for op in (sigmoid, tanh, softmax_rows,
+               lambda t: nm.log(softmax_rows(t))):
         assert np.all(np.isfinite(op(x).data))
