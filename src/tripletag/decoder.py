@@ -79,11 +79,8 @@ def label_feedback_sequence(h_stars: Tensor, p: DecoderParams) -> Tensor:
     H = np.zeros((n + 1, d))  # H[t], T[t] are what step t reads
     T = np.zeros((n + 1, tau))
     G = np.empty((n, 3 * d))
-    a = np.empty(3 * d)  # step t's pre-activations T[t] V + A[t]
     for t in range(n):
-        np.matmul(T[t], V, out=a)
-        a += A[t]
-        H[t + 1] = cell.step(a, H[t], G[t])
+        H[t + 1] = cell.step(A[t] + T[t] @ V, H[t], G[t])
         T[t + 1] = np.tanh(H[t + 1] @ W_T + b_T)
 
     def backward(g: np.ndarray) -> None:

@@ -332,8 +332,9 @@ def mix_embed(text: str, vocab: CharVocab, lexicon: WordLexicon,
     The word vector of a k-character segment contributes identically to all k
     rows; segments without a lexicon vector contribute zero. Gradients reach
     char_table and projection only; lexicon vectors stay fixed. Empty text
-    raises ValueError("text is empty") from `segment`, and a character id
-    outside char_table raises DimensionError (a ValueError).
+    raises ValueError("text is empty") from `segment`; a character id outside
+    char_table, or a lexicon width other than projection's row count, raises
+    DimensionError (a ValueError).
     """
     word_mat = np.zeros((len(text), lexicon.dim))
     for seg in segment(text, lexicon):
@@ -344,6 +345,9 @@ def mix_embed(text: str, vocab: CharVocab, lexicon: WordLexicon,
     table, projection = params.char_table, params.projection
     if max(ids) >= table.shape[0]:
         raise nm.DimensionError(f"mix_embed: char id {max(ids)} outside char_table")
+    if lexicon.dim != projection.shape[0]:
+        raise nm.DimensionError(f"mix_embed: lexicon width {lexicon.dim}, "
+                                f"projection expects {projection.shape[0]}")
 
     def backward(g: np.ndarray) -> None:
         if table.requires_grad:

@@ -97,11 +97,7 @@ class GruCell:
         z|r|c into gates."""
         d = self.d
         zr = gates[: 2 * d]
-        # in place: (h U_zr + a) * 0.5 has the bits of 0.5 * (a + h U_zr)
-        np.matmul(h, self.U_zr, out=zr)
-        zr += a[: 2 * d]
-        zr *= 0.5
-        np.tanh(zr, out=zr)
+        np.tanh(0.5 * (a[: 2 * d] + h @ self.U_zr), out=zr)
         zr += 1.0
         zr *= 0.5  # sigmoid, computed via tanh for stability on large |x|
         z, r = gates[:d], gates[d : 2 * d]

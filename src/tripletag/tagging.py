@@ -9,6 +9,10 @@ The scheme cannot express overlapping entity spans, and it drops explicit
 head/tail pairing: decoding pairs mentions per relation by nearest distance.
 Encoding followed by decoding is exact for sentences whose entity spans are
 disjoint and which carry at most one triple per relation.
+
+Decoding reads each tag once, left to right, and keeps the maximal
+well-formed mentions grouped by (relation, role); each relation's heads then
+pair with its tails.
 """
 
 from __future__ import annotations
@@ -98,17 +102,6 @@ def build_scheme(relations: Sequence[str]) -> TagScheme:
     return TagScheme(tuple(relations))
 
 
-def _span_tags(scheme: TagScheme, span: tuple[int, int], relation: str,
-               role: int) -> list[tuple[int, int]]:
-    start, end = span
-    if end - start == 1:
-        return [(start, scheme.tag_id("S", relation, role))]
-    out = [(start, scheme.tag_id("B", relation, role))]
-    out += [(i, scheme.tag_id("I", relation, role)) for i in range(start + 1, end - 1)]
-    out.append((end - 1, scheme.tag_id("E", relation, role)))
-    return out
-
-
 def encode_tags(n: int, triples: Sequence[Triple], scheme: TagScheme) -> list[int]:
     """Gold tag sequence for a sentence of n characters.
 
@@ -132,53 +125,39 @@ def encode_tags(n: int, triples: Sequence[Triple], scheme: TagScheme) -> list[in
             raise TagEncodeError(
                 f"head span [{hs},{he}) overlaps tail span [{ts},{te}) "
                 f"within triple {t.key()}")
-        for pos, tag in (_span_tags(scheme, t.head_span, t.relation, HEAD)
-                         + _span_tags(scheme, t.tail_span, t.relation, TAIL)):
-            if tags[pos] != 0:
-                raise TagEncodeError(
-                    f"span collision at char {pos}: triple {t.key()} vs "
-                    f"{owner[pos].key()}")
-            tags[pos] = tag
-            owner[pos] = t
+        for (s, e), role in ((t.head_span, HEAD), (t.tail_span, TAIL)):
+            positions = ["S"] if e - s == 1 else ["B"] + ["I"] * (e - s - 2) + ["E"]
+            for pos, position in zip(range(s, e), positions):
+                if tags[pos] != 0:
+                    raise TagEncodeError(
+                        f"span collision at char {pos}: triple {t.key()} vs "
+                        f"{owner[pos].key()}")
+                tags[pos] = scheme.tag_id(position, t.relation, role)
+                owner[pos] = t
     return tags
 
 
-def _scan_mentions(tags: Sequence[int],
-                   scheme: TagScheme) -> list[tuple[int, int, str, int]]:
-    """Maximal well-formed mentions (start, end, relation, role), left to right.
+def _mentions(tags: Sequence[int],
+              scheme: TagScheme) -> dict[tuple[str, int], list[tuple[int, int]]]:
+    """Maximal well-formed mention spans [start, end), left to right, grouped
+    by (relation, role).
 
     A mention is a single S tag, or B followed by any number of I and one E,
     all carrying the same relation and role. Anything else is dropped.
     """
-    mentions = []
-    n = len(tags)
-    i = 0
-    while i < n:
-        info = scheme.tag_info(tags[i])
-        if info is None:
-            i += 1
+    groups: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    open_start, open_kind = None, None  # the B whose mention is still open
+    for i, tag in enumerate(tags):
+        info = scheme.tag_info(tag)
+        position, kind = (None, None) if info is None else (info[0], info[1:])
+        if position == "I" and kind == open_kind:
             continue
-        position, relation, role = info
         if position == "S":
-            mentions.append((i, i + 1, relation, role))
-            i += 1
-            continue
-        if position == "B":
-            j = i + 1
-            while j < n and scheme.tag_info(tags[j]) == ("I", relation, role):
-                j += 1
-            if j < n and scheme.tag_info(tags[j]) == ("E", relation, role):
-                mentions.append((i, j + 1, relation, role))
-                i = j + 1
-                continue
-        i += 1  # dangling B/I/E or inconsistent run
-    return mentions
-
-
-def _span_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
-    if b[0] >= a[1]:
-        return b[0] - a[1]
-    return a[0] - b[1]
+            groups.setdefault(kind, []).append((i, i + 1))
+        elif position == "E" and kind == open_kind:
+            groups.setdefault(kind, []).append((open_start, i + 1))
+        open_start, open_kind = (i, kind) if position == "B" else (None, None)
+    return groups
 
 
 def decode_triples(tags: Sequence[int], text: str,
@@ -188,27 +167,24 @@ def decode_triples(tags: Sequence[int], text: str,
     Per relation, each head mention (in span order) pairs with the nearest
     unpaired tail mention; equal distances break toward the right. Unpaired
     mentions are discarded. Raises ValueError unless there is one tag per
-    character of text.
+    character of text, and ValueError (from `TagScheme.tag_info`) for a tag
+    id outside [0, k).
     """
     if len(tags) != len(text):
         raise ValueError(f"{len(tags)} tags for {len(text)} characters")
-    mentions = _scan_mentions(tags, scheme)
+    mentions = _mentions(tags, scheme)
     out = []
     for relation in scheme.relations:
-        heads = [(s, e) for s, e, r, role in mentions
-                 if r == relation and role == HEAD]
-        tails = [(s, e) for s, e, r, role in mentions
-                 if r == relation and role == TAIL]
-        unpaired = list(tails)
-        for h in heads:
+        unpaired = mentions.get((relation, TAIL), [])
+        for h0, h1 in mentions.get((relation, HEAD), ()):
             if not unpaired:
                 break
-            best = max(unpaired, key=lambda t: (-_span_distance(h, t), t[0]))
-            unpaired.remove(best)
-            out.append(Triple(
-                head=text[h[0]:h[1]], head_span=h,
-                tail=text[best[0]:best[1]], tail_span=best,
-                relation=relation))
+            # the max is the gap between the disjoint spans in either order
+            t0, t1 = min(unpaired, key=lambda t: (max(t[0] - h1, h0 - t[1]), -t[0]))
+            unpaired.remove((t0, t1))
+            out.append(Triple(head=text[h0:h1], head_span=(h0, h1),
+                              tail=text[t0:t1], tail_span=(t0, t1),
+                              relation=relation))
     out.sort(key=lambda t: (t.head_span, t.tail_span, t.relation))
     return out
 

@@ -5,7 +5,8 @@ straight-line references for the word-vector loader, the embedding, the
 encoder and decoder recurrences and the RMSprop step; autodiff oracles for
 every one-node kernel (embedding, recurrences, attention, tag head); a
 one-direction GRU node; an independent reference tag decoder and a random
-sentence maker."""
+sentence maker; the whole model composed from the library's layers, and a
+one-node cross-entropy loss for it."""
 
 import dataclasses
 import warnings
@@ -14,8 +15,11 @@ from typing import Callable
 import numpy as np
 
 from tripletag import numerics as nm
-from tripletag.embedding import WordLexicon, WordVectorParseError, segment
-from tripletag.encoder import GruCell
+from tripletag.attention import AttnParams, attend
+from tripletag.decoder import DecoderParams, decode_sequence
+from tripletag.embedding import (
+    CharVocab, EmbedParams, WordLexicon, WordVectorParseError, mix_embed, segment)
+from tripletag.encoder import BiGruParams, GruCell, encode
 from tripletag.numerics import Tensor
 from tripletag.tagging import HEAD, TAIL, Triple
 
@@ -466,3 +470,51 @@ def random_valid_sentence(rng: np.random.Generator, relations,
                               tail=text[t[0]:t[1]], tail_span=t,
                               relation=relations[int(rels[i])]))
     return text, triples
+
+
+@dataclasses.dataclass
+class Model:
+    """The layers composed as the paper stacks them: mix_embed, encode,
+    attend, decode_sequence."""
+
+    vocab: CharVocab
+    lexicon: WordLexicon
+    embed: EmbedParams
+    enc: BiGruParams
+    att: AttnParams
+    dec: DecoderParams
+
+    @classmethod
+    def init(cls, rng, vocab, lexicon, m, d_enc, d_dec, tau, k) -> "Model":
+        embed = EmbedParams.init(rng, len(vocab), m, lexicon.dim)
+        enc = BiGruParams.init(rng, m, d_enc)
+        att = AttnParams.init(rng, 2 * d_enc)
+        dec = DecoderParams.init(rng, att.d_k, d_dec, tau, k)
+        return cls(vocab, lexicon, embed, enc, att, dec)
+
+    def named_params(self):
+        """(layer.field name, tensor) for every parameter, layer by layer."""
+        return ([("embedding." + n, t) for n, t in named_tensors(self.embed)]
+                + [(f"encoder.{side}.{n}", t) for side in ("forward", "backward")
+                   for n, t in named_tensors(getattr(self.enc, side))]
+                + [("attention." + n, t) for n, t in named_tensors(self.att)]
+                + [("decoder." + n, t) for n, t in named_tensors(self.dec)])
+
+    def forward(self, text):
+        """Argmax tag ids and the (n, k) tag probabilities of text."""
+        E = mix_embed(text, self.vocab, self.lexicon, self.embed)
+        return decode_sequence(attend(encode(E, self.enc), self.att), self.dec)
+
+
+def cross_entropy(probs, gold):
+    """Mean over characters of -log p(gold tag), as one graph node."""
+    n = len(gold)
+    rows = np.arange(n)
+    picked = probs.data[rows, gold]
+
+    def backward(g):
+        d = np.zeros_like(probs.data)
+        d[rows, gold] = -g[0, 0] / (n * picked)
+        nm.accumulate(probs, d)
+
+    return nm.result(np.array([[-np.log(picked).mean()]]), (probs,), backward)

@@ -371,6 +371,13 @@ class TestMixEmbed:
         with pytest.raises(ValueError, match="text is empty"):
             mix_embed("", vocab, lx, self.make(vocab, 2, 3))
 
+    def test_lexicon_width_must_match_projection(self):
+        vocab = CharVocab("ab")
+        lx = lexicon_of({"ab": [1.0, 2.0, 3.0]})
+        with pytest.raises(nm.DimensionError,
+                           match="lexicon width 3, projection expects 5"):
+            mix_embed("ab", vocab, lx, self.make(vocab, 5, 4))
+
     def test_oov_char_equals_char_table_row(self):
         vocab = CharVocab("ab")
         lx = lexicon_of({"ab": [1.0, 2.0]})

@@ -157,6 +157,11 @@ class TestDecode:
         with pytest.raises(ValueError, match=f"{n_tags} tags for 3 characters"):
             decode_triples(tags, "abc", scheme)
 
+    @pytest.mark.parametrize("tag", [9, -1])
+    def test_tag_id_outside_scheme_rejected(self, tag):
+        with pytest.raises(ValueError, match=rf"tag id {tag} outside \[0, 9\)"):
+            decode_triples([0, tag, 0], "abc", build_scheme(["r"]))
+
     def test_unpaired_mentions_discarded(self):
         scheme = build_scheme(["r"])
         s1 = scheme.tag_id("S", "r", 1)
@@ -197,9 +202,11 @@ def test_exhaustive_short_sequences_match_reference():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=16), min_size=1, max_size=12))
+# lengths are drawn first: a plain list strategy averages only a few elements
+@given(st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.lists(st.integers(min_value=0, max_value=24), min_size=n, max_size=n)))
 def test_decode_accepts_arbitrary_sequences(tags):
-    scheme = build_scheme(["p", "q"])
+    scheme = build_scheme(["p", "q", "s"])
     text = "x" * len(tags)
     got = decode_triples(tags, text, scheme)
     assert got == reference_decode(tags, text, scheme)
