@@ -7,10 +7,9 @@ step, so label information flows across time differentiably; the same
 procedure runs at training and inference (no teacher forcing). A softmax
 over a linear map of T yields the per-character tag distribution.
 
-The whole recurrence is one autodiff node, `label_feedback_sequence`: the
-encoder's `GruCell` with the label-feedback term added to its gates, and a
-hand-written backpropagation through time. The tag head over all n label
-rows, `tag_distribution`, is the second node.
+The whole decoder is one autodiff node, `decode_sequence`: the encoder's
+`GruCell` with the label-feedback term added to its gates, the tag head over
+all n label rows, and a hand-written backpropagation through time.
 """
 
 from __future__ import annotations
@@ -63,34 +62,43 @@ class DecoderParams:
         return self.W_T.shape[1]
 
 
-def label_feedback_sequence(h_stars: Tensor, p: DecoderParams) -> Tensor:
-    """(n x d_v) inputs -> (n x tau) label rows T_1..T_n, as a single autodiff
-    node.
+def decode_sequence(h_stars: Tensor,
+                    p: DecoderParams) -> tuple[list[int], Tensor]:
+    """Left-to-right decode of an (n x d_v) input, as a single autodiff node.
 
     Step t runs the encoder's GRU cell on x_t with T_{t-1} V added to the
     z | r | c pre-activations, then sets T_t = tanh(h_t W_T + b_T); h_0 and
-    T_0 are zero. Raises DimensionError (a ValueError) for an empty input or
-    a width that does not match W.
+    T_0 are zero. The continuous T of each step feeds the next (never a
+    discretized label), and row t of the (n x k) probabilities is
+    softmax(T_t W_Y + b_Y). Returns the argmax tag ids (ties to the lowest
+    id) and the probabilities, which stay differentiable for the loss. An
+    empty input or a width that does not match W raises DimensionError (a
+    ValueError).
     """
     cell = GruCell(p)
     A = cell.inputs(h_stars.data)
     n, d, tau = h_stars.shape[0], cell.d, p.label_width
-    V, W_T, b_T = p.V.data, p.W_T.data, p.b_T.data[0]
+    V, W_T, b_T, W_Y = p.V.data, p.W_T.data, p.b_T.data[0], p.W_Y.data
     H = np.zeros((n + 1, d))  # H[t], T[t] are what step t reads
     T = np.zeros((n + 1, tau))
     G = np.empty((n, 3 * d))
     for t in range(n):
         H[t + 1] = cell.step(A[t] + T[t] @ V, H[t], G[t])
         T[t + 1] = np.tanh(H[t + 1] @ W_T + b_T)
+    Y = nm.softmax(T[1:] @ W_Y + p.b_Y.data)
 
     def backward(g: np.ndarray) -> None:
+        dZ = nm.softmax_grad(Y, g)
+        nm.accumulate(p.W_Y, T[1:].T @ dZ)
+        nm.accumulate(p.b_Y, dZ.sum(axis=0, keepdims=True))
+        g_T = dZ @ W_Y.T  # the label rows' gradient
         S = cell.slopes(H[:-1], G)
         DT = 1.0 - T[1:] * T[1:]  # tanh slopes, then the T pre-activation grads
         DA = np.empty((n, 3 * d))
         dh = np.zeros(d)
         dT = np.zeros(tau)  # T_t's gradient through the gates of step t+1
         for t in range(n - 1, -1, -1):
-            DT[t] *= g[t] + dT
+            DT[t] *= g_T[t] + dT
             dh = cell.step_back(dh + DT[t] @ W_T.T, S[t], DA[t])
             dT = DA[t] @ V.T
         nm.accumulate(h_stars, cell.accumulate_grads(h_stars.data, H[:-1], G, DA))
@@ -98,31 +106,6 @@ def label_feedback_sequence(h_stars: Tensor, p: DecoderParams) -> Tensor:
         for theta, grad in zip((p.V, p.W_T, p.b_T), grads):
             nm.accumulate(theta, grad)
 
-    return nm.result(T[1:], (h_stars, *cell.tensors, p.V, p.W_T, p.b_T), backward)
-
-
-def tag_distribution(T: Tensor, p: DecoderParams) -> Tensor:
-    """(n, k) probability rows: softmax of the linear tag logits of each T
-    row, as a single autodiff node."""
-    Y = nm.softmax(T.data @ p.W_Y.data + p.b_Y.data)
-
-    def backward(g: np.ndarray) -> None:
-        dZ = nm.softmax_grad(Y, g)
-        nm.accumulate(T, dZ @ p.W_Y.data.T)
-        nm.accumulate(p.W_Y, T.data.T @ dZ)
-        nm.accumulate(p.b_Y, dZ.sum(axis=0, keepdims=True))
-
-    return nm.result(Y, (T, p.W_Y, p.b_Y), backward)
-
-
-def decode_sequence(h_stars: Tensor,
-                    p: DecoderParams) -> tuple[list[int], Tensor]:
-    """Left-to-right decode of an (n x d_v) input.
-
-    The continuous T of each step feeds the next (never a discretized label).
-    Returns argmax tag ids (ties to the lowest id) and the (n x k)
-    probability matrix, which stays differentiable for the loss. An empty
-    input raises DimensionError (a ValueError).
-    """
-    probs = tag_distribution(label_feedback_sequence(h_stars, p), p)
-    return probs.data.argmax(axis=1).tolist(), probs
+    probs = nm.result(Y, (h_stars, *cell.tensors, p.V, p.W_T, p.b_T, p.W_Y, p.b_Y),
+                      backward)
+    return Y.argmax(axis=1).tolist(), probs

@@ -7,11 +7,11 @@ the rest only on the rows with a non-zero gradient, in place, and gives the
 same bits as the dense update: a character-table step costs the characters
 the sentence used, not the whole vocabulary.
 
-Every layer is a fused kernel: it computes its output in numpy and hands
-``result`` a backward closure that accumulates every input's gradient at
-once. ``accumulate`` is the one gradient gate: it skips tensors without
-``requires_grad``, so closures call it for all. Attention and the tag head
-share the array row softmax, ``softmax`` and ``softmax_grad``.
+Every layer is one node, a fused kernel: it computes its output in numpy
+and hands ``result`` a backward closure that accumulates every input's
+gradient at once. ``accumulate`` is the one gradient gate: it skips tensors
+without ``requires_grad``, so closures call it for all. Attention and the
+decoder share the array row softmax, ``softmax`` and ``softmax_grad``.
 
 The graph ops left, ``mul``, ``log``, ``scale`` and ``sum_all``, are those
 the cross-entropy loss and a staged backward's seeds compose. The oracles'
@@ -194,8 +194,9 @@ class RmspropState:
     accumulators; the decay is RHO and the denominator's floor EPSILON."""
 
     def __init__(self, learning_rate: float):
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
+        if not 0 < learning_rate < np.inf:  # also rejects nan
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {learning_rate}")
         self.learning_rate = learning_rate
         # keyed by the tensor itself (tensors hash by identity), which keeps it
         # alive: an id() key could pass a freed tensor's state to a new one

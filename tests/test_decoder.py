@@ -6,8 +6,7 @@ import pytest
 from helpers import (
     finite_diff_grad, named_tensors, reference_decode_rollout, relative_error, row)
 from tripletag import numerics as nm
-from tripletag.decoder import (
-    DecoderParams, decode_sequence, label_feedback_sequence, tag_distribution)
+from tripletag.decoder import DecoderParams, decode_sequence
 from tripletag.numerics import Tensor
 
 
@@ -16,6 +15,19 @@ def zero_decoder(d_v=1, d_dec=1, tau=1, k=2):
     for _, t in named_tensors(p):
         t.data[:] = 0.0
     return p
+
+
+def label_rows(Hstar, p):
+    """The label rows T of decode_sequence, read through its probabilities:
+    with the tag head set to W_Y = [0 | I_tau | 0] and b_Y = 0, row t's logits
+    are [0, T_t, 0], so log(P[:, 1:tau+1] / P[:, :1]) is T up to rounding.
+    Overwrites p's tag head; needs k > tau."""
+    tau = p.label_width
+    p.W_Y.data[:] = 0.0
+    p.W_Y.data[:, 1 : tau + 1] = np.eye(tau)
+    p.b_Y.data[:] = 0.0
+    P = decode_sequence(Tensor(Hstar), p)[1].data
+    return np.log(P[:, 1 : tau + 1] / P[:, :1])
 
 
 def hidden_states(T, p):
@@ -29,7 +41,7 @@ class TestDecodeStep:
     def test_all_zero_params_zero_state(self):
         p = zero_decoder(d_v=2, d_dec=3, tau=3, k=4)
         p.W_T.data[:] = np.eye(3)  # T = tanh(h) shows h; V = 0 cuts feedback
-        T = label_feedback_sequence(Tensor([[1.0, -1.0]]), p).data
+        T = label_rows([[1.0, -1.0]], p)
         np.testing.assert_array_equal(hidden_states(T, p), np.zeros((1, 3)))
         np.testing.assert_array_equal(T, np.zeros((1, 3)))
 
@@ -38,7 +50,7 @@ class TestDecodeStep:
         p = zero_decoder()
         p.W.data[0, 2] = 1.0  # candidate column (z | r | c)
         p.W_T.data[0, 0] = 1.0
-        T = label_feedback_sequence(Tensor([[1.0]]), p).data
+        T = label_rows([[1.0]], p)
         h = 0.5 * math.tanh(1.0)
         assert abs(hidden_states(T, p).item() - h) < 1e-12
         assert abs(hidden_states(T, p).item() - 0.380797) < 1e-6
@@ -50,7 +62,7 @@ class TestDecodeStep:
         p = DecoderParams.init(rng, 3, 4, 5, 6)
         Hstar = rng.uniform(-2, 2, (5, 3))
         want_states, _ = reference_decode_rollout(Hstar, p)
-        T = label_feedback_sequence(Tensor(Hstar), p).data
+        T = label_rows(Hstar, p)
         H = hidden_states(T, p)
         for t in range(5):
             np.testing.assert_allclose(H[t], want_states[t][0], atol=1e-12)
@@ -59,7 +71,7 @@ class TestDecodeStep:
     def test_dimension_mismatch(self):
         p = DecoderParams.init(np.random.default_rng(2), 3, 4, 4, 5)
         with pytest.raises(nm.DimensionError):
-            label_feedback_sequence(Tensor([[1.0]]), p)
+            decode_sequence(Tensor([[1.0]]), p)
 
 
 def test_init_packs_per_gate_draws_in_order():
@@ -83,24 +95,24 @@ def test_init_packs_per_gate_draws_in_order():
 
 
 class TestTagDistribution:
+    # a zero decoder's label rows are T = 0, so its logits are b_Y
     def test_zero_params_uniform(self):
         p = zero_decoder(tau=3, k=5)
-        out = tag_distribution(Tensor(np.zeros((1, 3))), p)
+        _, out = decode_sequence(Tensor([[1.0]]), p)
         np.testing.assert_allclose(out.data, np.full((1, 5), 0.2), atol=1e-15)
 
     def test_log_bias_case(self):
         p = zero_decoder(tau=1, k=2)
         p.b_Y.data[:] = [[math.log(2.0), math.log(1.0)]]
-        out = tag_distribution(Tensor([[0.0]]), p)
+        _, out = decode_sequence(Tensor([[1.0]]), p)
         np.testing.assert_allclose(out.data, [[2 / 3, 1 / 3]], atol=1e-12)
 
     def test_sums_to_one_over_random_draws(self):
         rng = np.random.default_rng(3)
         p = DecoderParams.init(rng, 2, 3, 4, 7)
-        for _ in range(1000):
-            T = Tensor(rng.uniform(-1, 1, (1, 4)))
-            out = tag_distribution(T, p).data
-            assert abs(out.sum() - 1.0) < 1e-9
+        for _ in range(100):
+            out = decode_sequence(Tensor(rng.uniform(-2, 2, (10, 2))), p)[1].data
+            assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-9)
             assert np.all(out >= 0)
 
 
@@ -122,11 +134,12 @@ class TestDecodeSequence:
         p = DecoderParams.init(rng, 3, 4, 5, 6)
         Hstar = rng.uniform(-1, 1, (4, 3))
         ids, probs = decode_sequence(Tensor(Hstar), p)
-        T = label_feedback_sequence(Tensor(Hstar), p)
+        W_Y, b_Y = p.W_Y.data.copy(), p.b_Y.data.copy()
+        T = label_rows(Hstar, p)
         for t in range(4):
-            row_t = tag_distribution(row(T, t), p)
-            np.testing.assert_allclose(probs.data[t], row_t.data[0], atol=1e-15)
-            assert ids[t] == int(np.argmax(row_t.data[0]))
+            row_t = nm.softmax(T[t : t + 1] @ W_Y + b_Y)[0]
+            np.testing.assert_allclose(probs.data[t], row_t, atol=1e-12)
+            assert ids[t] == int(np.argmax(row_t))
 
     def test_matches_reference_rollout(self):
         rng = np.random.default_rng(5)
@@ -156,7 +169,7 @@ def test_state_bounds_with_zero_init(seed):
     rng = np.random.default_rng(200 + seed)
     p = DecoderParams.init(rng, 3, 4, 4, 6)
     Hstar = rng.uniform(-3, 3, (10, 3))
-    T = label_feedback_sequence(Tensor(Hstar), p).data
+    T = label_rows(Hstar, p)
     H = hidden_states(T, p)
     for t in range(10):
         assert np.all(np.abs(H[t]) < 1.0)

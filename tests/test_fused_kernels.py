@@ -1,7 +1,6 @@
-"""The one-node kernels (the mixed embedding, the encoder and decoder
-recurrences, attention and the tag head) against straight-line references
-and the autodiff oracles of tests/helpers.py, and the gradient gate they rely
-on."""
+"""The one-node kernels (the mixed embedding, the encoder, attention and the
+decoder) against straight-line references and the autodiff oracles of
+tests/helpers.py, and the gradient gate they rely on."""
 
 import numpy as np
 import pytest
@@ -11,12 +10,11 @@ from hypothesis import strategies as st
 from helpers import (
     add, gru_node, lexicon_of, matmul, named_tensors, oracle_attend,
     oracle_decode_rows, oracle_gru_rows, oracle_mix_embed,
-    oracle_tag_distribution, reference_decode_rollout, reference_gru_sequence,
-    reference_mix_embed, weighted_row_sum)
+    reference_decode_rollout, reference_gru_sequence, reference_mix_embed,
+    weighted_row_sum)
 from tripletag import numerics as nm
 from tripletag.attention import AttnParams, attend
-from tripletag.decoder import (DecoderParams, decode_sequence,
-                               label_feedback_sequence, tag_distribution)
+from tripletag.decoder import DecoderParams, decode_sequence
 from tripletag.embedding import CharVocab, EmbedParams, mix_embed
 from tripletag.encoder import BiGruParams, GruParams, encode
 from tripletag.numerics import Tensor
@@ -74,6 +72,7 @@ def check_encode(rng, n, m, d):
 
 def check_decode_sequence(rng, n, d_v, d_dec, tau, k):
     p = DecoderParams.init(rng, d_v, d_dec, tau, k)
+    p.b_Y.data[:] = rng.uniform(-1, 1, (1, k))  # a bias that is not zero
     Hstar = Tensor(rng.uniform(-2, 2, (n, d_v)), requires_grad=True)
     w = rng.uniform(-1, 1, (n, k))
     ids, probs = decode_sequence(Hstar, p)
@@ -94,18 +93,6 @@ def check_attend(rng, n, d):
     assert_same_gradients(lambda: weighted(attend(H, p), w),
                           lambda: weighted(oracle_attend(H, p), w),
                           [("H", H)] + named_tensors(p))
-
-
-def check_tag_distribution(rng, n, tau, k):
-    p = DecoderParams.init(rng, 2, 2, tau, k)
-    p.b_Y.data[:] = rng.uniform(-1, 1, (1, k))  # a bias that is not zero
-    T = Tensor(rng.uniform(-1, 1, (n, tau)), requires_grad=True)
-    w = rng.uniform(-1, 1, (n, k))
-    np.testing.assert_allclose(tag_distribution(T, p).data,
-                               oracle_tag_distribution(T, p).data, rtol=0, atol=ATOL)
-    assert_same_gradients(lambda: weighted(tag_distribution(T, p), w),
-                          lambda: weighted(oracle_tag_distribution(T, p), w),
-                          [("T", T), ("W_Y", p.W_Y), ("b_Y", p.b_Y)])
 
 
 dims = st.integers(1, 5)
@@ -155,13 +142,6 @@ def test_attend_matches_oracle(n, d, seed):
     check_attend(np.random.default_rng(seed), n, d)
 
 
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 12), tau=st.integers(1, 4), k=st.integers(2, 5),
-       seed=st.integers(0, 2**32 - 1))
-def test_tag_distribution_matches_oracle(n, tau, k, seed):
-    check_tag_distribution(np.random.default_rng(seed), n, tau, k)
-
-
 def test_model_sized_kernels_match_oracle():
     # the benchmark's dims: d = 100, tau = 50, a 40-character sentence; attention
     # reads the 200-wide encoder output, also at train_long's longest length
@@ -195,7 +175,7 @@ def test_graph_size_does_not_grow_with_sentence_length():
         E = Tensor(rng.uniform(-1, 1, (n, 4)), requires_grad=True)
         _, probs = decode_sequence(attend(encode(E, enc), att), dec)
         counts.append(graph_nodes(probs))
-    assert counts[0] == counts[1] == counts[2], counts
+    assert counts == [3, 3, 3], counts  # encode, attend, decode_sequence
 
 
 def test_encode_is_one_node_above_its_input():
@@ -223,17 +203,14 @@ def test_attend_is_one_node_above_its_inputs():
     assert out._parents == (H, p.W_Q, p.W_K, p.W_V)
 
 
-def test_decoder_is_two_nodes_above_its_input():
+def test_decoder_is_one_node_above_its_input():
     rng = np.random.default_rng(11)
     X = Tensor(rng.uniform(-1, 1, (5, 4)), requires_grad=True)
     p = DecoderParams.init(rng, 4, 3, 2, 5)
     _, probs = decode_sequence(X, p)
-    assert graph_nodes(probs) == 2
-    T = probs._parents[0]
-    assert probs._parents == (T, p.W_Y, p.b_Y)
-    assert T._parents[0] is X
-    np.testing.assert_array_equal(T.data, label_feedback_sequence(X, p).data)
-    np.testing.assert_array_equal(probs.data, tag_distribution(T, p).data)
+    assert graph_nodes(probs) == 1
+    assert probs._parents == (X, p.W, p.U_zr, p.U, p.b, p.V, p.W_T, p.b_T,
+                              p.W_Y, p.b_Y)
 
 
 def test_char_id_outside_char_table_rejected():

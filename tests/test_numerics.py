@@ -296,9 +296,10 @@ class TestRmsprop:
             nm.rmsprop_step(theta, state)
             del theta
 
-    def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            nm.RmspropState(learning_rate=0.0)
+    @pytest.mark.parametrize("lr", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_config_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            nm.RmspropState(learning_rate=lr)
 
 
 def bits(a):
