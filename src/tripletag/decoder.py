@@ -54,10 +54,6 @@ class DecoderParams:
                    W_Y=u(rng, tau, k), b_Y=nm.zeros_init(1, k))
 
     @property
-    def hidden_size(self) -> int:
-        return self.U.shape[0]
-
-    @property
     def label_width(self) -> int:
         return self.W_T.shape[1]
 

@@ -49,17 +49,12 @@ class CharVocab:
         for c in chars:
             if c not in self._id:
                 self._id[c] = len(self._id)
-        self._chars = list(self._id)
 
     def __len__(self) -> int:
         return len(self._id)
 
     def id_of(self, char: str) -> int:
         return self._id.get(char, 0)
-
-    def chars(self) -> list[str]:
-        """All entries ordered by id (index 0 is the UNK sentinel)."""
-        return list(self._chars)
 
     def ids(self, text: str) -> list[int]:
         return [self.id_of(c) for c in text]

@@ -50,10 +50,6 @@ class GruParams:
         return cls(W=packed(*W), U_zr=packed(*U[:2]), U=packed(U[2]),
                    b=nm.zeros_init(1, 3 * d))
 
-    @property
-    def hidden_size(self) -> int:
-        return self.U.shape[0]
-
 
 @dataclass
 class BiGruParams:

@@ -14,8 +14,8 @@ without ``requires_grad``, so closures call it for all. Attention and the
 decoder share the array row softmax, ``softmax`` and ``softmax_grad``.
 
 The graph ops left, ``mul``, ``log``, ``scale`` and ``sum_all``, are those
-the cross-entropy loss and a staged backward's seeds compose. The oracles'
-matmul, add, row softmax and transpose live in tests/helpers.py.
+the cross-entropy loss and a staged backward's seeds compose. Products,
+sums and the row softmax have no graph op: the kernels call numpy directly.
 
 Conventions: tensors are 2-D; "vectors" are row vectors of shape (1, d).
 Gradients accumulate additively; callers zero them between steps.

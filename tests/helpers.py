@@ -1,12 +1,16 @@
-"""Shared test utilities: the finite-difference gradient oracle; the graph
-ops the library no longer has (matmul, add, row softmax, transpose, sub,
-sigmoid, tanh), which only the oracles compose; a word lexicon from a dict;
-straight-line references for the word-vector loader, the embedding, the
-encoder and decoder recurrences and the RMSprop step; autodiff oracles for
-every one-node kernel (embedding, recurrences, attention, tag head); a
-one-direction GRU node; an independent reference tag decoder and a random
-sentence maker; the whole model composed from the library's layers, and a
-one-node cross-entropy loss for it."""
+"""Shared test utilities: the finite-difference gradient oracle and the
+complex-step directional derivative; a word lexicon from a dict;
+straight-line numpy references for the word-vector loader, every one-node
+kernel (the mixed embedding, one encoder direction, attention and the
+decoder) and the RMSprop step; an independent reference tag decoder and a
+random sentence maker; the whole model composed from the library's layers,
+and a one-node cross-entropy loss for it.
+
+The kernel references read their parameters as plain arrays, a dict of
+field name -> array (`arrays`), and share no code with the library. They
+stay complex-safe, so `complex_step` differentiates them: with warnings as
+errors, a reference that casts a complex value back to float raises
+ComplexWarning rather than report a zero slope."""
 
 import dataclasses
 import warnings
@@ -19,7 +23,7 @@ from tripletag.attention import AttnParams, attend
 from tripletag.decoder import DecoderParams, decode_sequence
 from tripletag.embedding import (
     CharVocab, EmbedParams, WordLexicon, WordVectorParseError, mix_embed, segment)
-from tripletag.encoder import BiGruParams, GruCell, encode
+from tripletag.encoder import BiGruParams, encode
 from tripletag.numerics import Tensor
 from tripletag.tagging import HEAD, TAIL, Triple
 
@@ -27,6 +31,11 @@ from tripletag.tagging import HEAD, TAIL, Triple
 def named_tensors(p):
     """(field name, tensor) for every field of a parameter dataclass."""
     return [(f.name, getattr(p, f.name)) for f in dataclasses.fields(p)]
+
+
+def arrays(p):
+    """field name -> array, for every field of a parameter dataclass."""
+    return {name: t.data for name, t in named_tensors(p)}
 
 
 def finite_diff_grad(loss_fn: Callable[[], float], theta: Tensor,
@@ -51,6 +60,15 @@ def finite_diff_grad(loss_fn: Callable[[], float], theta: Tensor,
     return out.reshape(theta.data.shape)
 
 
+def complex_step(f: Callable[[np.ndarray], complex], x: np.ndarray,
+                 v: np.ndarray, h: float = 1e-30) -> float:
+    """The derivative of a real-analytic scalar function f at x along v, as
+    Im f(x + i h v) / h (Squire & Trapp, SIAM Review 1998). No difference of
+    two values is taken, so nothing cancels, and at h = 1e-30 the O(h^2)
+    truncation error is far below rounding."""
+    return float(f(x + 1j * h * v).imag) / h
+
+
 def relative_error(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> float:
     """Max per-coordinate relative error, treating |x| < atol on both sides as 0."""
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), atol)
@@ -59,105 +77,24 @@ def relative_error(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> float:
     return float(err.max()) if err.size else 0.0
 
 
-# Graph ops that the library no longer composes; the oracles below are built
-# from them, and tests/test_numerics.py checks each against finite
-# differences.
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product a @ b; shapes (m,k) x (k,n) -> (m,n)."""
-    if a.shape[1] != b.shape[0]:
-        raise nm.DimensionError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        nm.accumulate(a, g @ b.data.T)
-        nm.accumulate(b, a.data.T @ g)
-
-    return nm.result(a.data @ b.data, (a, b), backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also permits adding a (1,d) bias row onto (n,d)."""
-    if b.shape not in (a.shape, (1, a.shape[1])):
-        raise nm.DimensionError(f"add: shape mismatch {a.shape} vs {b.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        nm.accumulate(a, g)
-        nm.accumulate(b, g if b.shape == g.shape else g.sum(axis=0, keepdims=True))
-
-    return nm.result(a.data + b.data, (a, b), backward)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction; every row sums to 1."""
-    e = np.exp(a.data - a.data.max(axis=1, keepdims=True))
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        nm.accumulate(a, y * (g - (g * y).sum(axis=1, keepdims=True)))
-
-    return nm.result(y, (a,), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        nm.accumulate(a, g.T)
-
-    return nm.result(a.data.T.copy(), (a,), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise nm.DimensionError(f"sub: shape mismatch {a.shape} vs {b.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        nm.accumulate(a, g)
-        nm.accumulate(b, -g)
-
-    return nm.result(a.data - b.data, (a, b), backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    # computed via tanh for stability on large |x|
-    y = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-
-    def backward(g: np.ndarray) -> None:
-        nm.accumulate(a, g * y * (1.0 - y))
-
-    return nm.result(y, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        nm.accumulate(a, g * (1.0 - y * y))
-
-    return nm.result(y, (a,), backward)
-
-
-def gru_node(X: Tensor, p) -> Tensor:
-    """(n, d) states of one GRU pass over X's rows, as one graph node around
-    `GruCell.run`, so a single direction can be gradient-checked."""
-    cell = GruCell(p)
-    H, back = cell.run(X.data)
-
-    def backward(g: np.ndarray) -> None:
-        nm.accumulate(X, back(g))
-
-    return nm.result(H, (X, *cell.tensors), backward)
-
-
 def np_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def np_softmax(y):
+    """Softmax of a row; the shift by the largest real part cancels out."""
+    e = np.exp(y - y.real.max())
+    return e / e.sum()
+
+
 def reference_gru_sequence(E, p):
-    """Straight-line numpy re-implementation of the recurrence."""
-    Wz, Wr, W = np.hsplit(p.W.data, 3)
-    Uz, Ur = np.hsplit(p.U_zr.data, 2)
-    U = p.U.data
-    bz, br, b = np.hsplit(p.b.data, 3)
-    h = np.zeros((1, p.hidden_size))
+    """Straight-line numpy GRU pass over E's rows from a zero state; p maps
+    W, U_zr, U and b to arrays."""
+    Wz, Wr, W = np.hsplit(p["W"], 3)
+    Uz, Ur = np.hsplit(p["U_zr"], 2)
+    U = p["U"]
+    bz, br, b = np.hsplit(p["b"], 3)
+    h = np.zeros((1, U.shape[0]))
     out = []
     for t in range(E.shape[0]):
         w = E[t : t + 1]
@@ -237,21 +174,32 @@ def word_matrix(text, lexicon):
 
 
 def reference_mix_embed(text, vocab, lexicon, p):
-    """Straight-line numpy mixed embedding, one character at a time."""
+    """Straight-line numpy mixed embedding, one character at a time; p maps
+    char_table and projection to arrays."""
     words = word_matrix(text, lexicon)
-    return np.array([p.char_table.data[vocab.id_of(c)] + words[i] @ p.projection.data
+    return np.array([p["char_table"][vocab.id_of(c)] + words[i] @ p["projection"]
                      for i, c in enumerate(text)])
 
 
+def reference_attend(H, p):
+    """Straight-line numpy self-attention, one output row at a time: row i is
+    sum_j softmax_j(q_i . k_j / sqrt(d_k)) v_j; p maps W_Q, W_K and W_V to
+    arrays."""
+    Q, K, V = H @ p["W_Q"], H @ p["W_K"], H @ p["W_V"]
+    return np.array([np_softmax(K @ q / np.sqrt(Q.shape[1])) @ V for q in Q])
+
+
 def reference_decode_rollout(Hstar, p):
-    """Straight-line numpy re-implementation of the full decode recurrence."""
-    Wz, Wr, W = np.hsplit(p.W.data, 3)
-    Uz, Ur = np.hsplit(p.U_zr.data, 2)
-    U = p.U.data
-    Vz, Vr, V = np.hsplit(p.V.data, 3)
-    bz, br, b = np.hsplit(p.b.data, 3)
-    h = np.zeros((1, p.hidden_size))
-    T = np.zeros((1, p.label_width))
+    """Straight-line numpy decode recurrence: the (h_t, T_t) rows of every
+    step and the (n, k) tag probabilities; p maps the decoder's fields to
+    arrays."""
+    Wz, Wr, W = np.hsplit(p["W"], 3)
+    Uz, Ur = np.hsplit(p["U_zr"], 2)
+    U = p["U"]
+    Vz, Vr, V = np.hsplit(p["V"], 3)
+    bz, br, b = np.hsplit(p["b"], 3)
+    h = np.zeros((1, U.shape[0]))
+    T = np.zeros((1, p["W_T"].shape[1]))
     states, probs = [], []
     for t in range(Hstar.shape[0]):
         x = Hstar[t : t + 1]
@@ -259,10 +207,8 @@ def reference_decode_rollout(Hstar, p):
         z = np_sigmoid(x @ Wz + h @ Uz + T @ Vz + bz)
         cand = np.tanh(x @ W + (r * h) @ U + T @ V + b)
         h = (1.0 - z) * h + z * cand
-        T = np.tanh(h @ p.W_T.data + p.b_T.data)
-        y = T @ p.W_Y.data + p.b_Y.data
-        e = np.exp(y - y.max())
-        probs.append((e / e.sum())[0])
+        T = np.tanh(h @ p["W_T"] + p["b_T"])
+        probs.append(np_softmax((T @ p["W_Y"] + p["b_Y"])[0]))
         states.append((h[0].copy(), T[0].copy()))
     return states, np.array(probs)
 
@@ -273,112 +219,6 @@ def reference_rmsprop(theta, acc, grad, learning_rate):
     acc = 0.9 * acc + (1.0 - 0.9) * grad * grad
     theta = theta - learning_rate * grad / np.sqrt(acc + 1e-8)
     return theta, acc
-
-
-# Autodiff compositions of the fused kernels, built from the graph ops above:
-# the embedding from a selector product, attention and the tag head as small
-# graphs of whole-matrix ops, each recurrence as one small graph per
-# character. They are the gradient oracles for the one-node kernels and share
-# no code with them.
-
-def oracle_mix_embed(text, vocab, lexicon, p):
-    """The mixed embedding as a graph composition: char-table rows picked by a
-    constant one-hot selector product, plus the word rows times the
-    projection."""
-    onehot = np.eye(p.char_table.shape[0])[vocab.ids(text)]
-    return add(matmul(Tensor(onehot), p.char_table),
-               matmul(Tensor(word_matrix(text, lexicon)), p.projection))
-
-
-def oracle_attend(H, p):
-    """Self-attention as a graph composition: the query, key and value
-    products, the scaled score matrix, its row softmax and the mix."""
-    scores = nm.scale(matmul(matmul(H, p.W_Q), transpose(matmul(H, p.W_K))),
-                      1.0 / np.sqrt(p.d_k))
-    return matmul(softmax_rows(scores), matmul(H, p.W_V))
-
-
-def oracle_tag_distribution(T, p):
-    """The decoder's tag head as a graph composition."""
-    return softmax_rows(add(matmul(T, p.W_Y), p.b_Y))
-
-
-def row(X, t):
-    """Row t of X as a (1, d) graph node: the product with a constant 0/1 row
-    selector, so gradients flow back into X."""
-    return matmul(Tensor(np.eye(X.shape[0])[t : t + 1]), X)
-
-
-def gate_blocks(t, count):
-    """The `count` equal column blocks of a packed tensor, left to right, as
-    graph nodes: products with constant 0/1 column selectors, so gradients
-    flow back into t."""
-    width = t.shape[1] // count
-    eye = np.eye(t.shape[1])
-    return [matmul(t, Tensor(eye[:, i * width : (i + 1) * width]))
-            for i in range(count)]
-
-
-def _gate(terms, b):
-    out = matmul(*terms[0])
-    for x, w in terms[1:]:
-        out = add(out, matmul(x, w))
-    return add(out, b)
-
-
-def _gru_update(z, h_prev, cand):
-    ones = Tensor(np.ones(z.shape))
-    return add(nm.mul(sub(ones, z), h_prev), nm.mul(z, cand))
-
-
-def oracle_gru_rows(X, p, reverse=False):
-    """Per-step (1, d) states of one GRU pass over X's rows, in row order;
-    with `reverse` the pass reads the rows last to first."""
-    Wz, Wr, W = gate_blocks(p.W, 3)
-    Uz, Ur = gate_blocks(p.U_zr, 2)
-    bz, br, b = gate_blocks(p.b, 3)
-    n = X.shape[0]
-    h = Tensor(np.zeros((1, p.hidden_size)))
-    rows = [None] * n
-    for t in (range(n - 1, -1, -1) if reverse else range(n)):
-        x = row(X, t)
-        z = sigmoid(_gate([(x, Wz), (h, Uz)], bz))
-        r = sigmoid(_gate([(x, Wr), (h, Ur)], br))
-        cand = tanh(_gate([(x, W), (nm.mul(r, h), p.U)], b))
-        h = _gru_update(z, h, cand)
-        rows[t] = h
-    return rows
-
-
-def oracle_decode_rows(h_stars, p):
-    """Per-step (1, d_dec) states, (1, tau) label rows and (1, k) tag
-    probability rows of the label-feedback decoder."""
-    Wz, Wr, W = gate_blocks(p.W, 3)
-    Uz, Ur = gate_blocks(p.U_zr, 2)
-    Vz, Vr, V = gate_blocks(p.V, 3)
-    bz, br, b = gate_blocks(p.b, 3)
-    h = Tensor(np.zeros((1, p.hidden_size)))
-    T = Tensor(np.zeros((1, p.label_width)))
-    states, labels, probs = [], [], []
-    for t in range(h_stars.shape[0]):
-        x = row(h_stars, t)
-        r = sigmoid(_gate([(x, Wr), (h, Ur), (T, Vr)], br))
-        z = sigmoid(_gate([(x, Wz), (h, Uz), (T, Vz)], bz))
-        cand = tanh(_gate([(x, W), (nm.mul(r, h), p.U), (T, V)], b))
-        h = _gru_update(z, h, cand)
-        T = tanh(add(matmul(h, p.W_T), p.b_T))
-        states.append(h)
-        labels.append(T)
-        probs.append(oracle_tag_distribution(T, p))
-    return states, labels, probs
-
-
-def weighted_row_sum(rows, weights):
-    """sum_t rows[t] . weights[t] as a (1, 1) tensor, summed step by step."""
-    total = nm.sum_all(nm.mul(rows[0], Tensor(weights[0:1])))
-    for t in range(1, len(rows)):
-        total = add(total, nm.sum_all(nm.mul(rows[t], Tensor(weights[t : t + 1]))))
-    return total
 
 
 def reference_decode(tags, text, scheme):

@@ -1,27 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import finite_diff_grad, relative_error
+from helpers import arrays, finite_diff_grad, reference_attend, relative_error
 from tripletag import numerics as nm
 from tripletag.attention import AttnParams, attend
 from tripletag.numerics import Tensor
-
-
-def summation_form(H, p):
-    """Per-element reference: h*_i = sum_j softmax_j(q_i . k_j / sqrt(d_k)) v_j."""
-    Q = H @ p.W_Q.data
-    K = H @ p.W_K.data
-    V = H @ p.W_V.data
-    n = H.shape[0]
-    out = np.zeros((n, V.shape[1]))
-    for i in range(n):
-        scores = np.array([float(Q[i] @ K[j]) / np.sqrt(p.d_k)
-                           for j in range(n)])
-        e = np.exp(scores - scores.max())
-        weights = e / e.sum()
-        for j in range(n):
-            out[i] += weights[j] * V[j]
-    return out
 
 
 class TestAttend:
@@ -54,7 +37,7 @@ class TestAttend:
         p = AttnParams.init(rng, 6)
         H = rng.uniform(-2, 2, (5, 6))
         np.testing.assert_allclose(attend(Tensor(H), p).data,
-                                   summation_form(H, p), atol=1e-12)
+                                   reference_attend(H, arrays(p)), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_equivalence_over_random_inputs(self, seed):
@@ -63,7 +46,7 @@ class TestAttend:
         p = AttnParams.init(rng, 4)
         H = rng.uniform(-2, 2, (n, 4))
         np.testing.assert_allclose(attend(Tensor(H), p).data,
-                                   summation_form(H, p), atol=1e-12)
+                                   reference_attend(H, arrays(p)), atol=1e-12)
 
     def test_rows_sum_to_one(self):
         # with W_V = I each output row is the weights times H: a constant

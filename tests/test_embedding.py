@@ -27,11 +27,6 @@ class TestCharVocab:
         assert v.id_of("?") == 0
         assert sorted(v.id_of(c) for c in "北京大学") == [1, 2, 3, 4]
 
-    def test_round_trip_through_chars(self):
-        v = CharVocab("abcab")
-        rebuilt = CharVocab(v.chars()[1:])
-        assert rebuilt.ids("abc") == v.ids("abc")
-
 
 class TestLoadWordVectors:
     def test_direct_read_back(self, tmp_path):
