@@ -6,14 +6,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (finite_diff_grad, named_tensors, np_sigmoid, reference_rmsprop,
-                     relative_error)
+from helpers import (complex_step, finite_diff_grad, named_tensors, np_sigmoid,
+                     np_softmax, reference_rmsprop, relative_error)
 from tripletag import numerics as nm
 from tripletag.attention import AttnParams
 from tripletag.decoder import DecoderParams
 from tripletag.embedding import EmbedParams
 from tripletag.encoder import BiGruParams
 from tripletag.numerics import Tensor
+
+
+def softmax_rows(x):
+    """The references' softmax, np_softmax, of each row of x."""
+    return np.array([np_softmax(r) for r in x])
+
+
+class TestSoftmaxRows:
+    def test_uniform_logits(self):
+        np.testing.assert_allclose(softmax_rows(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
+
+    def test_large_logits_no_overflow(self):
+        out = softmax_rows(np.array([[1000.0, 1000.0, 1000.0]]))
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, [[1 / 3, 1 / 3, 1 / 3]])
+
+    def test_log_logits(self):
+        out = softmax_rows(np.array([[math.log(1), math.log(2), math.log(3)]]))
+        np.testing.assert_allclose(out, [[1 / 6, 2 / 6, 3 / 6]], atol=1e-12)
+
+    def test_rows_sum_to_one(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            out = softmax_rows(rng.uniform(-50, 50, (4, 7)))
+            np.testing.assert_allclose(out.sum(axis=1), np.ones(4), atol=1e-9)
+            assert np.all((out >= 0) & (out <= 1))
 
 
 class TestSoftmax:
@@ -117,11 +143,48 @@ OP_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(OP_CASES))
+def _complex_step_gradcheck(f, shapes, seed, span=2.0):
+    """The complex-step gradient of a numpy expression, one unit direction
+    per coordinate, vs finite differences on a random instance; returns rel
+    error."""
+    rng = np.random.default_rng(seed)
+    xs = [rng.uniform(-span, span, s) for s in shapes]
+    out = f(*xs)
+    w = np.cos(np.arange(out.size)).reshape(out.shape)
+    worst = 0.0
+    for i, x in enumerate(xs):
+        def loss(a, i=i):
+            return (w * f(*xs[:i], a, *xs[i + 1:])).sum()
+
+        units = np.eye(x.size).reshape(-1, *x.shape)
+        cs = np.array([complex_step(loss, x, e) for e in units]).reshape(x.shape)
+        fd = finite_diff_grad(lambda: float(loss(x)), Tensor(x), h=1e-5)
+        worst = max(worst, relative_error(cs, fd))
+    return worst
+
+
+# The numpy operations the kernel references compose. The complex-step
+# oracle is exact only where each of them is analytic in its complex input:
+# no conjugation, no real-only shift that is not cancelled.
+PRIMITIVE_CASES = {
+    "add": (lambda a, b: a + b, [(3, 4), (3, 4)]),
+    "add_bias_row": (lambda a, b: a + b, [(3, 4), (1, 4)]),
+    "sub": (lambda a, b: a - b, [(3, 4), (3, 4)]),
+    "matmul": (lambda a, b: a @ b, [(3, 4), (4, 2)]),
+    "transpose": (lambda a: a.T, [(3, 4)]),
+    "sigmoid": (np_sigmoid, [(3, 4)]),
+    "tanh": (np.tanh, [(3, 4)]),
+    "softmax_rows": (softmax_rows, [(3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES | PRIMITIVE_CASES))
 @pytest.mark.parametrize("seed", range(8))
 def test_per_op_gradients_match_finite_differences(name, seed):
-    build, shapes = OP_CASES[name]
-    assert _gradcheck(build, shapes, seed) < 1e-4
+    if name in OP_CASES:
+        assert _gradcheck(*OP_CASES[name], seed) < 1e-4
+    else:
+        assert _complex_step_gradcheck(*PRIMITIVE_CASES[name], seed) < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(10))
