@@ -49,8 +49,6 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise DimensionError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr

@@ -1,13 +1,14 @@
-"""Shared test utilities: the finite-difference gradient oracle and the
-complex-step directional derivative; a word lexicon from a dict;
-straight-line numpy references for the word-vector loader, every one-node
-kernel (the mixed embedding, one encoder direction, attention and the
-decoder) and the RMSprop step; an independent reference tag decoder and a
-random sentence maker; the whole model composed from the library's layers,
-and a one-node cross-entropy loss for it.
+"""Shared test utilities: the named tensors of a parameter dataclass; the
+finite-difference gradient oracle, the one harness that checks a backward
+against it, and the complex-step directional derivative; a word lexicon from
+a dict; straight-line numpy references for the word-vector loader, every
+one-node kernel (the mixed embedding, one encoder direction, attention and
+the decoder) and the RMSprop step; an independent reference tag decoder and
+a random sentence maker; the whole model composed from the library's layers,
+and the benchmark's loss, built of the same graph ops as its own.
 
 The kernel references read their parameters as plain arrays, a dict of
-field name -> array (`arrays`), and share no code with the library. They
+dotted name -> array (`arrays`), and share no code with the library. They
 stay complex-safe, so `complex_step` differentiates them: with warnings as
 errors, a reference that casts a complex value back to float raises
 ComplexWarning rather than report a zero slope."""
@@ -28,13 +29,21 @@ from tripletag.numerics import Tensor
 from tripletag.tagging import HEAD, TAIL, Triple
 
 
-def named_tensors(p):
-    """(field name, tensor) for every field of a parameter dataclass."""
-    return [(f.name, getattr(p, f.name)) for f in dataclasses.fields(p)]
+def named_tensors(p, prefix=""):
+    """(dotted name, tensor) for every Tensor field of a (nested) parameter
+    dataclass, in field order: `encoder.forward.W` for a Model."""
+    out = []
+    for f in dataclasses.fields(p):
+        value = getattr(p, f.name)
+        if isinstance(value, Tensor):
+            out.append((prefix + f.name, value))
+        elif dataclasses.is_dataclass(value):
+            out += named_tensors(value, prefix + f.name + ".")
+    return out
 
 
 def arrays(p):
-    """field name -> array, for every field of a parameter dataclass."""
+    """dotted name -> array, for every tensor of a parameter dataclass."""
     return {name: t.data for name, t in named_tensors(p)}
 
 
@@ -58,6 +67,27 @@ def finite_diff_grad(loss_fn: Callable[[], float], theta: Tensor,
         flat[i] = orig
         out[i] = (up - down) / (2.0 * h)
     return out.reshape(theta.data.shape)
+
+
+def weighted(out: Tensor, weights: np.ndarray) -> Tensor:
+    """The scalar sum(weights * out), as graph ops."""
+    return nm.sum_all(nm.mul(out, Tensor(weights)))
+
+
+def check_finite_differences(forward: Callable[[], Tensor], named, weights,
+                             atol: float = 1e-8) -> dict:
+    """Back-propagates sum(weights * forward()) once, then checks the
+    gradient of each (name, tensor) in `named` against central finite
+    differences of that sum to < 1e-4 relative error, entries below atol on
+    both sides counting as equal. Returns name -> finite-difference gradient,
+    for a test's own checks on blocks of it."""
+    nm.backward(weighted(forward(), weights))
+    diffs = {}
+    for name, theta in named:
+        diffs[name] = finite_diff_grad(lambda: float((forward().data * weights).sum()),
+                                       theta)
+        assert relative_error(theta.grad, diffs[name], atol) < 1e-4, name
+    return diffs
 
 
 def complex_step(f: Callable[[np.ndarray], complex], x: np.ndarray,
@@ -319,42 +349,30 @@ class Model:
 
     vocab: CharVocab
     lexicon: WordLexicon
-    embed: EmbedParams
-    enc: BiGruParams
-    att: AttnParams
-    dec: DecoderParams
+    embedding: EmbedParams
+    encoder: BiGruParams
+    attention: AttnParams
+    decoder: DecoderParams
 
     @classmethod
     def init(cls, rng, vocab, lexicon, m, d_enc, d_dec, tau, k) -> "Model":
-        embed = EmbedParams.init(rng, len(vocab), m, lexicon.dim)
-        enc = BiGruParams.init(rng, m, d_enc)
-        att = AttnParams.init(rng, 2 * d_enc)
-        dec = DecoderParams.init(rng, att.d_k, d_dec, tau, k)
-        return cls(vocab, lexicon, embed, enc, att, dec)
-
-    def named_params(self):
-        """(layer.field name, tensor) for every parameter, layer by layer."""
-        return ([("embedding." + n, t) for n, t in named_tensors(self.embed)]
-                + [(f"encoder.{side}.{n}", t) for side in ("forward", "backward")
-                   for n, t in named_tensors(getattr(self.enc, side))]
-                + [("attention." + n, t) for n, t in named_tensors(self.att)]
-                + [("decoder." + n, t) for n, t in named_tensors(self.dec)])
+        embedding = EmbedParams.init(rng, len(vocab), m, lexicon.dim)
+        encoder = BiGruParams.init(rng, m, d_enc)
+        attention = AttnParams.init(rng, 2 * d_enc)
+        decoder = DecoderParams.init(rng, attention.d_k, d_dec, tau, k)
+        return cls(vocab, lexicon, embedding, encoder, attention, decoder)
 
     def forward(self, text):
         """Argmax tag ids and the (n, k) tag probabilities of text."""
-        E = mix_embed(text, self.vocab, self.lexicon, self.embed)
-        return decode_sequence(attend(encode(E, self.enc), self.att), self.dec)
+        E = mix_embed(text, self.vocab, self.lexicon, self.embedding)
+        return decode_sequence(attend(encode(E, self.encoder), self.attention),
+                               self.decoder)
 
 
 def cross_entropy(probs, gold):
-    """Mean over characters of -log p(gold tag), as one graph node."""
-    n = len(gold)
-    rows = np.arange(n)
-    picked = probs.data[rows, gold]
-
-    def backward(g):
-        d = np.zeros_like(probs.data)
-        d[rows, gold] = -g[0, 0] / (n * picked)
-        nm.accumulate(probs, d)
-
-    return nm.result(np.array([[-np.log(picked).mean()]]), (probs,), backward)
+    """Mean over characters of -log p(gold tag), composed of graph ops as the
+    benchmark's loss is, so it gives the benchmark's bits."""
+    n, k = probs.shape
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), gold] = 1.0
+    return nm.scale(nm.sum_all(nm.mul(nm.log(probs), Tensor(onehot))), -1.0 / n)

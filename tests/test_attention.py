@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import arrays, finite_diff_grad, reference_attend, relative_error
+from helpers import arrays, check_finite_differences, named_tensors, reference_attend
 from tripletag import numerics as nm
 from tripletag.attention import AttnParams, attend
 from tripletag.numerics import Tensor
@@ -87,11 +87,4 @@ def test_gradients_match_finite_differences():
     p = AttnParams.init(rng, 3)
     H = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
     mask = np.sin(np.arange(12)).reshape(4, 3)
-
-    def loss():
-        return float((attend(H, p).data * mask).sum())
-
-    nm.backward(nm.sum_all(nm.mul(attend(H, p), Tensor(mask))))
-    for name, theta in (("H", H), ("W_Q", p.W_Q), ("W_K", p.W_K), ("W_V", p.W_V)):
-        fd = finite_diff_grad(loss, theta, h=1e-5)
-        assert relative_error(theta.grad, fd) < 1e-4, name
+    check_finite_differences(lambda: attend(H, p), [("H", H)] + named_tensors(p), mask)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
-    arrays, finite_diff_grad, named_tensors, reference_decode_rollout, relative_error)
+    arrays, check_finite_differences, named_tensors, reference_decode_rollout)
 from tripletag import numerics as nm
 from tripletag.decoder import DecoderParams, decode_sequence
 from tripletag.numerics import Tensor
@@ -184,19 +184,11 @@ def test_label_feedback_carries_gradient_across_steps():
     Hstar = rng.uniform(-1, 1, (2, 2))
     mask = np.zeros((2, 4))
     mask[1] = np.cos(np.arange(4))
-
-    def step2_loss():
-        _, probs = decode_sequence(Tensor(Hstar), p)
-        return float((probs.data * mask).sum())
-
-    _, probs = decode_sequence(Tensor(Hstar), p)
-    nm.backward(nm.sum_all(nm.mul(probs, Tensor(mask))))
+    diffs = check_finite_differences(lambda: decode_sequence(Tensor(Hstar), p)[1],
+                                     [("V", p.V), ("W_T", p.W_T)], mask)
     for name, gates in (("V", 3), ("W_T", 1)):
-        theta = getattr(p, name)
-        fd = finite_diff_grad(step2_loss, theta, h=1e-5)
-        for gate, block in enumerate(np.hsplit(fd, gates)):
+        for gate, block in enumerate(np.hsplit(diffs[name], gates)):
             assert np.any(np.abs(block) > 1e-8), (name, gate)
-        assert relative_error(theta.grad, fd) < 1e-4, name
 
 
 def test_full_decoder_gradients_match_finite_differences():
@@ -204,16 +196,8 @@ def test_full_decoder_gradients_match_finite_differences():
     p = DecoderParams.init(rng, 2, 3, 3, 4)
     Hstar = rng.uniform(-1, 1, (3, 2))
     mask = np.cos(np.arange(12)).reshape(3, 4)
-
-    def loss():
-        _, probs = decode_sequence(Tensor(Hstar), p)
-        return float((probs.data * mask).sum())
-
-    _, probs = decode_sequence(Tensor(Hstar), p)
-    nm.backward(nm.sum_all(nm.mul(probs, Tensor(mask))))
-    for name, theta in named_tensors(p):
-        fd = finite_diff_grad(loss, theta, h=1e-5)
-        assert relative_error(theta.grad, fd) < 1e-4, name
+    check_finite_differences(lambda: decode_sequence(Tensor(Hstar), p)[1],
+                             named_tensors(p), mask)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -222,13 +206,5 @@ def test_decoder_input_and_parameter_gradients_match_finite_differences(n):
     p = DecoderParams.init(rng, 2, 3, 3, 4)
     Hstar = Tensor(rng.uniform(-1, 1, (n, 2)), requires_grad=True)
     mask = np.cos(np.arange(4 * n)).reshape(n, 4)
-
-    def loss():
-        _, probs = decode_sequence(Hstar, p)
-        return float((probs.data * mask).sum())
-
-    _, probs = decode_sequence(Hstar, p)
-    nm.backward(nm.sum_all(nm.mul(probs, Tensor(mask))))
-    for name, theta in [("h_stars", Hstar)] + named_tensors(p):
-        fd = finite_diff_grad(loss, theta, h=1e-5)
-        assert relative_error(theta.grad, fd) < 1e-4, name
+    check_finite_differences(lambda: decode_sequence(Hstar, p)[1],
+                             [("h_stars", Hstar)] + named_tensors(p), mask)

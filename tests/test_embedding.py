@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    finite_diff_grad, lexicon_of, reference_load_word_vectors, relative_error)
+    check_finite_differences, lexicon_of, named_tensors, reference_load_word_vectors)
 from tripletag import embedding, numerics as nm
 from tripletag.embedding import (
     CharVocab, EmbedParams, WordLexicon, WordVectorParseError,
     load_word_vectors, mix_embed, segment)
-from tripletag.numerics import Tensor
 
 
 class TestCharVocab:
@@ -280,6 +279,22 @@ class TestLoaderMatchesReference:
         path.write_text(f"{len(rows)} 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
         assert outcome(loaded_rows, path) == outcome(reference_load_word_vectors, path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("2", "expected '<count> <dim>', got '2'"),
+        ("2 3 4", "expected '<count> <dim>', got '2 3 4'"),
+        ("a 3", "non-integer header fields 'a 3'"),
+        ("2 1.5", "non-integer header fields '2 1.5'"),
+        ("0 3", "non-positive count/dim '0 3'"),
+        ("2 -1", "non-positive count/dim '2 -1'"),
+    ], ids=["one-field", "three-fields", "word-count", "fractional-dim", "zero-count",
+            "negative-dim"])
+    def test_a_bad_header(self, tmp_path, header, message):
+        path = tmp_path / "vec.txt"
+        path.write_text(header + "\na 1 2\n")
+        error = (WordVectorParseError, "line 1: " + message)
+        assert (outcome(loaded_rows, path) == outcome(reference_load_word_vectors, path)
+                == (error, []))
+
 
 class TestWordLexicon:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -418,15 +433,8 @@ class TestMixEmbed:
         rng = np.random.default_rng(4)
         p = self.make(vocab, 2, 3, rng=rng)
         w = np.cos(np.arange(9)).reshape(3, 3)
-
-        def loss():
-            return float((mix_embed("pqr", vocab, lx, p).data * w).sum())
-
-        out = mix_embed("pqr", vocab, lx, p)
-        nm.backward(nm.sum_all(nm.mul(out, Tensor(w))))
-        for theta in (p.char_table, p.projection):
-            fd = finite_diff_grad(loss, theta, h=1e-5)
-            assert relative_error(theta.grad, fd) < 1e-4
+        check_finite_differences(lambda: mix_embed("pqr", vocab, lx, p),
+                                 named_tensors(p), w)
 
     def test_repeated_and_oov_chars_gradient(self):
         # 'p' three times, 'z' out of vocabulary (UNK row 0); 'r' and 's' absent
@@ -435,15 +443,8 @@ class TestMixEmbed:
         p = self.make(vocab, 2, 3, rng=np.random.default_rng(5))
         text = "pqpzp"
         w = np.cos(np.arange(15)).reshape(5, 3)
-
-        def loss():
-            return float((mix_embed(text, vocab, lx, p).data * w).sum())
-
-        out = mix_embed(text, vocab, lx, p)
-        nm.backward(nm.sum_all(nm.mul(out, Tensor(w))))
-        for theta in (p.char_table, p.projection):
-            fd = finite_diff_grad(loss, theta, h=1e-5)
-            assert relative_error(theta.grad, fd) < 1e-4
+        check_finite_differences(lambda: mix_embed(text, vocab, lx, p),
+                                 named_tensors(p), w)
         absent = [vocab.id_of("r"), vocab.id_of("s")]
         np.testing.assert_array_equal(p.char_table.grad[absent], 0.0)
         assert np.all(p.char_table.grad[[0, 1, 2]] != 0)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
-    arrays, finite_diff_grad, named_tensors, np_sigmoid, reference_gru_sequence,
-    relative_error)
+    arrays, check_finite_differences, named_tensors, np_sigmoid, reference_gru_sequence)
 from tripletag import numerics as nm
 from tripletag.encoder import BiGruParams, GruCell, GruParams, encode
 from tripletag.numerics import Tensor
@@ -135,16 +134,7 @@ def test_encode_gradients_match_finite_differences():
     p = BiGruParams.init(rng, 3, 2)
     E = rng.uniform(-1, 1, (4, 3))
     mask = np.cos(np.arange(16)).reshape(4, 4)
-
-    def loss():
-        return float((encode(Tensor(E), p).data * mask).sum())
-
-    out = encode(Tensor(E), p)
-    nm.backward(nm.sum_all(nm.mul(out, Tensor(mask))))
-    for side in (p.forward, p.backward):
-        for name, theta in named_tensors(side):
-            fd = finite_diff_grad(loss, theta, h=1e-5)
-            assert relative_error(theta.grad, fd) < 1e-4, name
+    check_finite_differences(lambda: encode(Tensor(E), p), named_tensors(p), mask)
 
 
 # the gate column blocks of each packed field, and those that act on h alone
@@ -159,23 +149,15 @@ def test_encode_input_and_parameter_gradients_match_finite_differences(n):
     p = BiGruParams.init(rng, 3, 2)
     E = Tensor(rng.uniform(-1, 1, (n, 3)), requires_grad=True)
     mask = np.cos(np.arange(4 * n)).reshape(n, 4)
-
-    def loss():
-        return float((encode(E, p).data * mask).sum())
-
-    nm.backward(nm.sum_all(nm.mul(encode(E, p), Tensor(mask))))
-    thetas = [("E", E)] + [(side + "." + name, theta)
-                           for side in ("forward", "backward")
-                           for name, theta in named_tensors(getattr(p, side))]
-    for name, theta in thetas:
-        fd = finite_diff_grad(loss, theta, h=1e-5)
+    named = [("E", E)] + named_tensors(p)
+    diffs = check_finite_differences(lambda: encode(E, p), named, mask)
+    for name, theta in named:
         field = name.split(".")[-1]
         gates = GATES.get(field, "-")
         for gate, grad, fd_block in zip(gates, np.hsplit(theta.grad, len(gates)),
-                                        np.hsplit(fd, len(gates))):
+                                        np.hsplit(diffs[name], len(gates))):
             if n == 1 and (field, gate) in AT_H0_ONLY:
                 # the only step reads h = 0, which these blocks act on alone
                 assert not grad.any(), (name, gate)
             else:
                 assert np.any(np.abs(fd_block) > 1e-8), (name, gate)
-        assert relative_error(theta.grad, fd) < 1e-4, name

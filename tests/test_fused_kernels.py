@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     arrays, complex_step, lexicon_of, named_tensors, reference_attend,
-    reference_decode_rollout, reference_gru_sequence, reference_mix_embed)
+    reference_decode_rollout, reference_gru_sequence, reference_mix_embed, weighted)
 from tripletag import numerics as nm
 from tripletag.attention import AttnParams, attend
 from tripletag.decoder import DecoderParams, decode_sequence
@@ -21,10 +21,6 @@ from tripletag.numerics import Tensor
 
 ATOL = 1e-12
 GRAD_RTOL = 1e-12
-
-
-def weighted(out, weights):
-    return nm.sum_all(nm.mul(out, Tensor(weights)))
 
 
 def assert_gradients_match(out, reference, named, rng):
@@ -54,8 +50,7 @@ def assert_gradients_match(out, reference, named, rng):
 def check_encode(rng, n, m, d):
     p = BiGruParams.init(rng, m, d)
     E = Tensor(rng.uniform(-2, 2, (n, m)), requires_grad=True)
-    named = [("E", E)] + [(side + "." + name, t) for side in ("forward", "backward")
-                          for name, t in named_tensors(getattr(p, side))]
+    named = [("E", E)] + named_tensors(p)
 
     def reference(x):
         fwd, bwd = ({f: x[side + "." + f] for f in arrays(p.forward)}

@@ -1,13 +1,13 @@
 """The whole model composed at tiny dims: mixed embedding, Bi-GRU encoder,
-self-attention and the label-feedback decoder under a mean cross-entropy
-against the gold tags of one triple. Every parameter's gradient is checked
-against finite differences."""
+self-attention and the label-feedback decoder under the benchmark's mean
+cross-entropy against the gold tags of one triple. Every parameter's gradient
+is checked against finite differences."""
 
 import numpy as np
 import pytest
 
-from helpers import Model, cross_entropy, finite_diff_grad, lexicon_of, relative_error
-from tripletag import numerics as nm
+from helpers import (
+    Model, check_finite_differences, cross_entropy, lexicon_of, named_tensors)
 from tripletag.embedding import CharVocab
 from tripletag.tagging import Triple, build_scheme, encode_tags
 
@@ -24,13 +24,7 @@ def test_every_parameter_gradient_matches_finite_differences(seed):
     lexicon = lexicon_of({"创办": rng.uniform(-1, 1, WORD_DIM)})
     model = Model.init(rng, CharVocab("王五创办"), lexicon, M, D_ENC, D_DEC, TAU,
                        scheme.k)
-
-    def loss():
-        return cross_entropy(model.forward(TEXT)[1], gold)
-
-    nm.backward(loss())
-    for name, theta in model.named_params():
-        fd = finite_diff_grad(lambda: loss().item(), theta)
-        # the differences of a loss near 2 carry ~1e-11 of rounding, so the
-        # error is taken relative to at least 1e-6
-        assert relative_error(theta.grad, fd, atol=1e-6) < 1e-4, name
+    # the differences of a loss near 2 carry ~1e-11 of rounding, so the error
+    # is taken relative to at least 1e-6
+    check_finite_differences(lambda: cross_entropy(model.forward(TEXT)[1], gold),
+                             named_tensors(model), np.ones((1, 1)), atol=1e-6)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (complex_step, finite_diff_grad, named_tensors, np_sigmoid,
-                     np_softmax, reference_rmsprop, relative_error)
+from helpers import (check_finite_differences, complex_step, finite_diff_grad,
+                     named_tensors, np_sigmoid, np_softmax, reference_rmsprop,
+                     relative_error)
 from tripletag import numerics as nm
 from tripletag.attention import AttnParams
 from tripletag.decoder import DecoderParams
@@ -114,25 +115,14 @@ class TestFiniteDiff:
 
 
 def _gradcheck(build, shapes, seed, span=2.0):
-    """backward vs finite differences on a random instance; returns rel error."""
+    """backward vs finite differences on a random instance, the output
+    weighted by a fixed pattern against symmetric-cancellation blind spots."""
     rng = np.random.default_rng(seed)
     inputs = [Tensor(rng.uniform(-span, span, s), requires_grad=True)
               for s in shapes]
-
-    def loss():
-        # weighting by a fixed pattern avoids symmetric-cancellation blind spots
-        out = build(*inputs)
-        w = np.cos(np.arange(out.data.size)).reshape(out.data.shape)
-        return float((out.data * w).sum())
-
     out = build(*inputs)
-    w = Tensor(np.cos(np.arange(out.data.size)).reshape(out.data.shape))
-    nm.backward(nm.sum_all(nm.mul(out, w)))
-    worst = 0.0
-    for x in inputs:
-        fd = finite_diff_grad(loss, x, h=1e-5)
-        worst = max(worst, relative_error(x.grad, fd))
-    return worst
+    check_finite_differences(lambda: build(*inputs), list(enumerate(inputs)),
+                             np.cos(np.arange(out.data.size)).reshape(out.shape))
 
 
 OP_CASES = {
@@ -182,7 +172,7 @@ PRIMITIVE_CASES = {
 @pytest.mark.parametrize("seed", range(8))
 def test_per_op_gradients_match_finite_differences(name, seed):
     if name in OP_CASES:
-        assert _gradcheck(*OP_CASES[name], seed) < 1e-4
+        _gradcheck(*OP_CASES[name], seed)
     else:
         assert _complex_step_gradcheck(*PRIMITIVE_CASES[name], seed) < 1e-4
 
@@ -194,19 +184,15 @@ def test_three_op_composition_gradient(seed):
         ab = nm.mul(a, b)
         return nm.mul(nm.log(nm.mul(ab, ab)), nm.scale(nm.mul(b, c), -2.5))
 
-    assert _gradcheck(build, [(3, 4), (3, 4), (3, 4)], seed) < 1e-4
+    _gradcheck(build, [(3, 4), (3, 4), (3, 4)], seed)
 
 
 def test_gradient_through_shared_subexpression():
     # one tensor feeding two consumers must receive both contributions
     x = Tensor([[0.3, -0.7]], requires_grad=True)
-
-    def build():
-        return nm.sum_all(nm.mul(nm.log(nm.mul(x, x)), nm.scale(x, 3.0)))
-
-    nm.backward(build())
-    fd = finite_diff_grad(lambda: build().item(), x, h=1e-5)
-    assert relative_error(x.grad, fd) < 1e-4
+    check_finite_differences(
+        lambda: nm.sum_all(nm.mul(nm.log(nm.mul(x, x)), nm.scale(x, 3.0))),
+        [("x", x)], np.ones((1, 1)))
 
 
 class TestRmsprop:
@@ -379,8 +365,8 @@ def test_rmsprop_step_on_few_live_rows_allocates_no_table_sized_array():
 def test_every_initial_parameter_is_64_byte_aligned_before_and_after_a_step(seed):
     rng = np.random.default_rng(seed)
     encoder = BiGruParams.init(rng, 5, 7)
-    layers = (EmbedParams.init(rng, 37, 5, 3), encoder.forward, encoder.backward,
-              AttnParams.init(rng, 14), DecoderParams.init(rng, 14, 6, 4, 9))
+    layers = (EmbedParams.init(rng, 37, 5, 3), encoder, AttnParams.init(rng, 14),
+              DecoderParams.init(rng, 14, 6, 4, 9))
     params = [t for layer in layers for _, t in named_tensors(layer)]
     assert all(t.data.ctypes.data % 64 == 0 and t.grad.ctypes.data % 64 == 0
                and not t.grad.any() for t in params)
@@ -390,6 +376,14 @@ def test_every_initial_parameter_is_64_byte_aligned_before_and_after_a_step(seed
         nm.rmsprop_step(t, state)
     assert all(t.data.ctypes.data % 64 == 0 and t.grad.ctypes.data % 64 == 0
                for t in params)
+
+
+def test_tensors_are_2d_and_item_needs_a_scalar():
+    for shape in ((3,), (2, 2, 2)):
+        with pytest.raises(nm.DimensionError, match="tensors are 2-D"):
+            Tensor(np.zeros(shape))
+    with pytest.raises(nm.DimensionError, match="needs a scalar"):
+        Tensor(np.zeros((1, 2))).item()
 
 
 def test_parameter_copies_its_data():
