@@ -8,8 +8,9 @@ come from a plain-text vector file and are never updated; characters outside
 the vocabulary map to the reserved UNK id 0.
 
 `load_word_vectors` parses the file in blocks and copies each block straight
-into the rows of the lexicon's one matrix, so a load peaks at one matrix plus
-one block, not at two copies of the lexicon.
+into the rows of the lexicon's one matrix, a `numerics.mapped_zeros` array,
+so a load peaks at one matrix plus one block, not at two copies of the
+lexicon, and rows it never writes take no memory.
 
 `mix_embed` is one autodiff node: a gather of character-table rows plus one
 matmul with the projection, whose backward touches the gathered rows only.
@@ -17,7 +18,6 @@ matmul with the projection, whose backward touches the gathered rows only.
 
 from __future__ import annotations
 
-import mmap
 import os
 import stat
 import warnings
@@ -118,10 +118,10 @@ def load_word_vectors(path) -> WordLexicon:
     digits.
 
     Each accepted block is copied straight into the lexicon's matrix, so a
-    load holds one matrix plus one block. The matrix is mapped once, after
-    the header, with room for the declared count of rows, but never for more
-    rows than the file's size can hold. So `path` must name a regular file;
-    anything else (a pipe, a device) raises ValueError.
+    load holds one matrix plus one block. The matrix is one `mapped_zeros`
+    array, made after the header with room for the declared count of rows,
+    but never for more rows than the file's size can hold. So `path` must
+    name a regular file; anything else (a pipe, a device) raises ValueError.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
@@ -135,7 +135,7 @@ def load_word_vectors(path) -> WordLexicon:
         # a row is at least a word and dim values, each one byte, with a
         # separator before each value, so the file's size bounds the rows
         # however large the header's count or dim
-        matrix = _mapped_matrix(min(count, info.st_size // (2 * dim + 1)), dim)
+        matrix = nm.mapped_zeros((min(count, info.st_size // (2 * dim + 1)), dim))
         rows: dict[str, int] = {}  # word -> matrix row, in first-occurrence order
         rows_seen = 0
         while block := list(islice(lines, BLOCK_LINES)):
@@ -159,17 +159,6 @@ def load_word_vectors(path) -> WordLexicon:
     words = list(rows)
     del rows  # freed before the lexicon builds its own word -> row dict
     return WordLexicon(words, matrix[: len(words)])
-
-
-def _mapped_matrix(rows: int, dim: int) -> np.ndarray:
-    """A writable (rows, dim) float64 matrix in an anonymous mapping of its
-    own. Freeing a heap block this size through glibc's malloc would raise
-    the heap's trim threshold to twice the size, and the heap would then hold
-    on to that much freed memory. Pages become resident as rows are written."""
-    if rows == 0:
-        return np.empty((0, dim))
-    buffer = mmap.mmap(-1, rows * dim * 8)
-    return np.frombuffer(buffer, dtype=np.float64).reshape(rows, dim)
 
 
 def _lines(fh) -> Iterator[bytes]:

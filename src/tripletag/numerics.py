@@ -17,12 +17,18 @@ The graph ops left, ``mul``, ``log``, ``scale`` and ``sum_all``, are those
 the cross-entropy loss and a staged backward's seeds compose. Products,
 sums and the row softmax have no graph op: the kernels call numpy directly.
 
+Parameters' data and gradients and RMSprop accumulators are ``mapped_zeros``
+arrays, which take memory only once written: predict-only use never pays for
+a gradient or an accumulator.
+
 Conventions: tensors are 2-D; "vectors" are row vectors of shape (1, d).
 Gradients accumulate additively; callers zero them between steps.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +36,6 @@ import numpy as np
 LOG_FLOOR = 1e-12
 RHO = 0.9  # RMSprop decay of the squared-gradient accumulator
 EPSILON = 1e-8  # RMSprop floor under the accumulator's square root
-ALIGN = 64  # bytes: the boundary every parameter's data and gradient start on
 
 
 class DimensionError(ValueError):
@@ -203,7 +208,7 @@ class RmspropState:
     def accumulator(self, theta: Tensor) -> np.ndarray:
         acc = self._acc.get(theta)
         if acc is None:
-            acc = np.zeros_like(theta.data)
+            acc = mapped_zeros(theta.shape)
             self._acc[theta] = acc
         return acc
 
@@ -246,25 +251,27 @@ def rmsprop_step(theta: Tensor, state: RmspropState) -> None:
 
 def parameter(data) -> Tensor:
     """A trainable tensor holding a copy of `data`, with that copy and a zero
-    gradient each in a 64-byte-aligned buffer. Where the heap places a weight
-    matrix sets the speed of a gemv against it (at d = 100, up to ~1.5x
-    slower off a 64-byte boundary, for the same bits), so no parameter is
-    left to heap luck."""
+    gradient each from `mapped_zeros`, so each starts on a page boundary and
+    hence on a 64-byte one. Where the heap places a weight matrix sets the
+    speed of a gemv against it (at d = 100, up to ~1.5x slower off a 64-byte
+    boundary, for the same bits), so no parameter is left to heap luck."""
     values = Tensor(data).data
-    t = Tensor(_aligned(values.shape))
+    t = Tensor(mapped_zeros(values.shape))
     t.data[...] = values
     t.requires_grad = True
-    t.grad = _aligned(values.shape)
-    t.grad.fill(0.0)
+    t.grad = mapped_zeros(values.shape)
     return t
 
 
-def _aligned(shape: tuple[int, int]) -> np.ndarray:
-    """An uninitialised float64 array whose data starts on a 64-byte boundary."""
-    nbytes = shape[0] * shape[1] * 8
-    buf = np.empty(nbytes + ALIGN, dtype=np.uint8)
-    start = -buf.ctypes.data % ALIGN
-    return buf[start : start + nbytes].view(np.float64).reshape(shape)
+def mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A writable float64 zero array in an anonymous mapping of its own: it
+    starts on a page boundary, a page takes memory when first written, and
+    freeing the array unmaps it (glibc keeps up to twice the size of a large
+    freed heap block held)."""
+    nbytes = math.prod(shape) * 8
+    if nbytes == 0:
+        return np.zeros(shape)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.float64).reshape(shape)
 
 
 def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> Tensor:

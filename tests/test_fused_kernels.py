@@ -4,6 +4,9 @@ values directly, and every input's and parameter's gradient against the
 oracle, the complex-step derivative of the reference along a random
 direction. Also the graph size and the gradient gate the kernels rely on."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,11 @@ from tripletag.decoder import DecoderParams, decode_sequence
 from tripletag.embedding import CharVocab, EmbedParams, mix_embed
 from tripletag.encoder import BiGruParams, encode
 from tripletag.numerics import Tensor
+
+# the benchmark's own node counter, loaded as tools/fingerprint.py loads the
+# benchmark, so these tests check the count the benchmark reports
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from pipeline import graph_nodes  # noqa: E402
 
 ATOL = 1e-12
 GRAD_RTOL = 1e-12
@@ -134,20 +142,6 @@ def test_model_sized_kernels_match_oracle():
     check_attend(np.random.default_rng(8), 40, 200)
     check_attend(np.random.default_rng(9), 160, 200)
     check_decode_sequence(np.random.default_rng(1), 40, 200, 100, 50, 20)
-
-
-def graph_nodes(out):
-    """Op nodes recorded from out back to the leaves."""
-    seen, stack, count = {id(out)}, [out], 0
-    while stack:
-        node = stack.pop()
-        if node._parents:
-            count += 1
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                seen.add(id(p))
-                stack.append(p)
-    return count
 
 
 def test_graph_size_does_not_grow_with_sentence_length():

@@ -1,5 +1,7 @@
 import math
+import mmap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,6 +378,43 @@ def test_every_initial_parameter_is_64_byte_aligned_before_and_after_a_step(seed
         nm.rmsprop_step(t, state)
     assert all(t.data.ctypes.data % 64 == 0 and t.grad.ctypes.data % 64 == 0
                for t in params)
+
+
+def test_mapped_zeros_is_a_page_aligned_writable_zero_array():
+    z = nm.mapped_zeros((3, 700))
+    assert z.shape == (3, 700) and z.dtype == np.float64
+    assert z.flags.c_contiguous and z.flags.writeable
+    assert z.ctypes.data % mmap.PAGESIZE == 0
+    assert not z.any()
+    z[2, 699] = 1.0
+    assert z.sum() == 1.0
+
+
+def test_mapped_zeros_of_an_empty_shape_is_empty():
+    z = nm.mapped_zeros((0, 5))
+    assert z.shape == (0, 5) and z.dtype == np.float64
+
+
+def resident_mib() -> float:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * mmap.PAGESIZE / 2**20
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(),
+                    reason="reads resident memory from /proc/self/statm")
+def test_gradient_and_accumulator_take_memory_only_once_written():
+    values = np.random.default_rng(0).uniform(-1, 1, (1024, 1024))  # 8 MiB
+    before = resident_mib()
+    t = nm.parameter(values)
+    with_parameter = resident_mib()
+    state = nm.RmspropState(learning_rate=0.01)
+    state.accumulator(t)
+    with_accumulator = resident_mib()
+    t.grad[...] = 1.0
+    with_gradient = resident_mib()
+    assert abs(with_parameter - before - 8) <= 2  # the data, not the gradient
+    assert with_accumulator - with_parameter < 1
+    assert abs(with_gradient - with_accumulator - 8) <= 2
 
 
 def test_tensors_are_2d_and_item_needs_a_scalar():
