@@ -8,8 +8,12 @@ procedure runs at training and inference (no teacher forcing). A softmax
 over a linear map of T yields the per-character tag distribution.
 
 The whole decoder is one autodiff node, `decode_sequence`: the encoder's
-`GruCell` with the label-feedback term added to its gates, the tag head over
-all n label rows, and a hand-written backpropagation through time.
+`GruCell` loops with the label-feedback term added to its gates, the tag head
+over all n label rows, and a hand-written backpropagation through time. The
+feedback runs between the loops' yields: after forward step t it writes
+T_{t+1} into its row and adds T_{t+1} V into the next step's pre-activation
+row in place; before backward step t it writes the gradient that reaches
+h_{t+1} through T_{t+1} into the row the cell's backward loop reads.
 """
 
 from __future__ import annotations
@@ -78,9 +82,15 @@ def decode_sequence(h_stars: Tensor,
     H = np.zeros((n + 1, d))  # H[t], T[t] are what step t reads
     T = np.zeros((n + 1, tau))
     G = np.empty((n, 3 * d))
-    for t in range(n):
-        H[t + 1] = cell.step(A[t] + T[t] @ V, H[t], G[t])
-        T[t + 1] = np.tanh(H[t + 1] @ W_T + b_T)
+    feedback = np.empty(3 * d)
+    steps = cell.states(A, H, G)
+    for a, t_in, h, t_out in zip(A, T, H[1:], T[1:]):
+        np.dot(t_in, V, out=feedback)
+        a += feedback
+        next(steps)  # the GRU step writes h
+        np.dot(h, W_T, out=t_out)
+        t_out += b_T
+        np.tanh(t_out, out=t_out)
     Y = nm.softmax(T[1:] @ W_Y + p.b_Y.data)
 
     def backward(g: np.ndarray) -> None:
@@ -88,15 +98,17 @@ def decode_sequence(h_stars: Tensor,
         nm.accumulate(p.W_Y, T[1:].T @ dZ)
         nm.accumulate(p.b_Y, dZ.sum(axis=0, keepdims=True))
         g_T = dZ @ W_Y.T  # the label rows' gradient
-        S = cell.slopes(H[:-1], G)
         DT = 1.0 - T[1:] * T[1:]  # tanh slopes, then the T pre-activation grads
-        DA = np.empty((n, 3 * d))
-        dh = np.zeros(d)
+        DA, DH = np.empty((n, 3 * d)), np.empty((n, d))
         dT = np.zeros(tau)  # T_t's gradient through the gates of step t+1
-        for t in range(n - 1, -1, -1):
-            DT[t] *= g_T[t] + dT
-            dh = cell.step_back(dh + DT[t] @ W_T.T, S[t], DA[t])
-            dT = DA[t] @ V.T
+        W_T_T, V_T = W_T.T, V.T
+        steps = cell.grads_back(cell.slopes(H[:-1], G), DA, DH)
+        for dt, g_t, dh, da in zip(DT[::-1], g_T[::-1], DH[::-1], DA[::-1]):
+            dT += g_t
+            dt *= dT
+            np.dot(dt, W_T_T, out=dh)
+            next(steps)  # the GRU step back writes da
+            np.dot(da, V_T, out=dT)
         nm.accumulate(h_stars, cell.accumulate_grads(h_stars.data, H[:-1], G, DA))
         grads = (T[:-1].T @ DA, H[1:].T @ DT, DT.sum(axis=0, keepdims=True))
         for theta, grad in zip((p.V, p.W_T, p.b_T), grads):

@@ -10,13 +10,17 @@ time. `GruCell` is the numpy cell, forward and backward: `GruCell.run` makes
 one pass over a sequence, with the input projections of all steps as one
 matmul against the packed input map W, and returns the states plus a
 backward closure that sums every weight gradient as one whole-sequence
-product. The decoder reuses the cell with its label-feedback term.
+product. The recurrence is two generator loops, `GruCell.states` and
+`GruCell.grads_back`, that write each step's gates, state and gradients in
+place into rows of whole-sequence arrays (each gemv through `np.dot(...,
+out=)`) and yield after each step; the decoder runs its label feedback
+between their yields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -68,8 +72,9 @@ class GruCell:
 
     Per step, with input pre-activations a = x W + b: z|r = sigmoid(a[:2d] +
     h U_zr), c = tanh(a[2d:] + (r*h) U) and h' = (1 - z) * h + z * c,
-    computed as h + z * (c - h). Vectors are 1-D rows; per-step results are
-    written into rows of the caller's whole-sequence arrays. `p` is a
+    computed as h + z * (c - h). `states` and `grads_back` read and write 1-D
+    rows of the caller's whole-sequence arrays, through row views made once
+    per sequence and scratch vectors made once per loop. `p` is a
     `GruParams` or any parameter set with its fields W, U_zr, U and b.
     """
 
@@ -88,38 +93,63 @@ class GruCell:
                 f"GRU: input width {X.shape[1]}, weights expect {self.W.shape[0]}")
         return X @ self.W + self.b
 
-    def step(self, a: np.ndarray, h: np.ndarray, gates: np.ndarray) -> np.ndarray:
-        """New state from pre-activations a (3d,) and state h (d,); writes
-        z|r|c into gates."""
+    def states(self, A: np.ndarray, H: np.ndarray, G: np.ndarray) -> Iterator[None]:
+        """The forward loop over the (n, 3d) pre-activation rows of A from
+        state H[0]: step t writes its gates z|r|c into G[t] and its new state
+        into H[t + 1], in place, and the loop yields after each step. A caller
+        may add to A's next row between yields."""
         d = self.d
-        zr = gates[: 2 * d]
-        np.tanh(0.5 * (a[: 2 * d] + h @ self.U_zr), out=zr)
-        zr += 1.0
-        zr *= 0.5  # sigmoid, computed via tanh for stability on large |x|
-        z, r = gates[:d], gates[d : 2 * d]
-        c = gates[2 * d :]
-        np.tanh(a[2 * d :] + (r * h) @ self.U, out=c)
-        return h + z * (c - h)
+        U_zr, U = self.U_zr, self.U
+        rh = np.empty(d)  # r*h of the current step
+        for a_zr, a_c, h, h_new, zr, z, r, c in zip(
+                A[:, : 2 * d], A[:, 2 * d :], H, H[1:], G[:, : 2 * d], *np.hsplit(G, 3)):
+            np.dot(h, U_zr, out=zr)
+            zr += a_zr
+            zr *= 0.5
+            np.tanh(zr, out=zr)
+            zr += 1.0
+            zr *= 0.5  # sigmoid, computed via tanh for stability on large |x|
+            np.multiply(r, h, out=rh)
+            np.dot(rh, U, out=c)
+            c += a_c
+            np.tanh(c, out=c)
+            np.subtract(c, h, out=h_new)
+            h_new *= z
+            h_new += h
+            yield
 
     def slopes(self, H_prev: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """(n, 5d) per-step factors of `step_back`, for all steps at once:
+        """(n, 5d) per-step factors of `grads_back`, for all steps at once:
         dh'/da_c, dh'/da_z, d(r*h)/da_r, dh'/dh through the update, and r."""
         d = self.d
         Z, R, C = G[:, :d], G[:, d : 2 * d], G[:, 2 * d :]
         return np.hstack([Z * (1.0 - C * C), (C - H_prev) * Z * (1.0 - Z),
                           H_prev * R * (1.0 - R), 1.0 - Z, R])
 
-    def step_back(self, dh: np.ndarray, s: np.ndarray, da: np.ndarray) -> np.ndarray:
-        """Backward of `step`: from the new state's gradient dh and the step's
-        row s of `slopes`, writes the pre-activation gradient into da and
-        returns the gradient of h."""
+    def grads_back(self, S: np.ndarray, DA: np.ndarray,
+                   DH: np.ndarray) -> Iterator[np.ndarray]:
+        """The backward loop of `states`, last step first. Step t reads DH[t],
+        the gradient that reaches state t + 1 from outside the recurrence, and
+        its row of `slopes` S; it writes the pre-activation gradient into
+        DA[t] and yields the gradient of state t (a scratch row, rewritten by
+        the next step). A caller may write DH's next row between yields."""
         d = self.d
-        da_c = da[2 * d :]
-        np.multiply(dh, s[:d], out=da_c)
-        d_rh = da_c @ self.U.T
-        np.multiply(dh, s[d : 2 * d], out=da[:d])
-        np.multiply(d_rh, s[2 * d : 3 * d], out=da[d : 2 * d])
-        return dh * s[3 * d : 4 * d] + d_rh * s[4 * d :] + da[: 2 * d] @ self.U_zr.T
+        U_T, U_zr_T = self.U.T, self.U_zr.T
+        dh, d_rh, d_zr = np.zeros(d), np.empty(d), np.empty(d)
+        S, DA = S[::-1], DA[::-1]
+        for s_c, s_z, s_r, s_h, r, da_zr, da_z, da_r, da_c, g in zip(
+                *np.hsplit(S, 5), DA[:, : 2 * d], *np.hsplit(DA, 3), DH[::-1]):
+            dh += g
+            np.multiply(dh, s_c, out=da_c)
+            np.dot(da_c, U_T, out=d_rh)
+            np.multiply(dh, s_z, out=da_z)
+            np.multiply(d_rh, s_r, out=da_r)
+            np.dot(da_zr, U_zr_T, out=d_zr)
+            dh *= s_h
+            d_rh *= r
+            dh += d_rh
+            dh += d_zr
+            yield dh
 
     def accumulate_grads(self, X: np.ndarray, H_prev: np.ndarray, G: np.ndarray,
                          DA: np.ndarray) -> np.ndarray:
@@ -144,15 +174,13 @@ class GruCell:
         n, d = X.shape[0], self.d
         H = np.zeros((n + 1, d))  # H[t] is the state step t reads
         G = np.empty((n, 3 * d))
-        for t in range(n):
-            H[t + 1] = self.step(A[t], H[t], G[t])
+        for _ in self.states(A, H, G):
+            pass
 
         def backward(g: np.ndarray) -> np.ndarray:
-            S = self.slopes(H[:-1], G)
             DA = np.empty((n, 3 * d))
-            dh = np.zeros(d)
-            for t in range(n - 1, -1, -1):
-                dh = self.step_back(dh + g[t], S[t], DA[t])
+            for _ in self.grads_back(self.slopes(H[:-1], G), DA, g):
+                pass
             return self.accumulate_grads(X, H[:-1], G, DA)
 
         return H[1:], backward

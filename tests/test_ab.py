@@ -1,0 +1,76 @@
+"""tools/ab.py's summary of paired benchmark runs, on canned results: no
+benchmark process is started."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import ab  # noqa: E402
+
+BETTER = {"chars_per_s": "higher", "op_ms_p90": "lower"}
+
+
+def result(chars_per_s, op_ms_p90, failed=0, attempted=100):
+    return {"correct": failed == 0, "attempted": attempted, "failed": failed,
+            "metrics": {"chars_per_s": {"value": chars_per_s, "unit": "chars/s"},
+                        "op_ms_p90": {"value": op_ms_p90, "unit": "ms"}}}
+
+
+def test_quartiles_interpolate_linearly():
+    assert ab.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert ab.quartiles([1.0, 2.0]) == (1.25, 1.5, 1.75)
+    assert ab.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_wins_follow_each_metrics_direction_and_ties_count_for_neither():
+    pairs = [(result(100, 7.0), result(110, 6.0)),   # better on both
+             (result(100, 7.0), result(90, 8.0)),    # worse on both
+             (result(100, 7.0), result(100, 7.0))]   # a tie on both
+    metrics = ab.summarize(pairs, BETTER)["metrics"]
+    assert [metrics[m]["wins"] for m in BETTER] == [1, 1]
+    assert all(metrics[m]["pairs"] == 3 for m in BETTER)
+    assert metrics["chars_per_s"]["parent"] == (100, 100, 100)
+    assert metrics["chars_per_s"]["change"] == (95, 100, 105)
+
+
+def test_gain_rule_needs_nine_wins_in_ten_and_a_gap_beyond_the_parents_spread():
+    parent_p90 = [7.0, 7.1, 7.2, 7.3, 7.4, 7.5, 7.6, 7.7, 7.8, 7.9]  # IQR 0.45
+    better = [p - 1.0 for p in parent_p90]
+
+    def holds(change_p90):
+        pairs = [(result(100, p), result(100, c)) for p, c in zip(parent_p90, change_p90)]
+        return ab.summarize(pairs, {"op_ms_p90": "lower"})["metrics"]["op_ms_p90"]["holds"]
+
+    assert holds(better)
+    assert holds(better[:9] + [parent_p90[9] + 1.0])  # 9/10 wins
+    assert not holds(better[:8] + [p + 1.0 for p in parent_p90[8:]])  # 8/10
+    assert not holds([p - 0.4 for p in parent_p90])  # 10/10, gap 0.4 < IQR
+    assert holds([p - 0.5 for p in parent_p90])  # 10/10, gap 0.5 > IQR
+    assert not holds([p + 1.0 for p in parent_p90])  # worse, 0/10
+
+
+def test_failed_operations_are_summed_per_side():
+    pairs = [(result(100, 7.0, failed=1), result(100, 7.0, attempted=90)),
+             (result(100, 7.0), result(100, 7.0, failed=2, attempted=80))]
+    assert ab.summarize(pairs, BETTER)["failed"] == {"parent": (1, 200), "change": (2, 170)}
+
+
+def test_report_has_one_line_per_metric_and_the_failed_counts():
+    pairs = [(result(100, 7.0), result(110, 6.0)), (result(102, 7.2), result(112, 6.1))]
+    text = ab.report("infer_mixed", ab.summarize(pairs, BETTER))
+    lines = text.splitlines()
+    assert lines[0].startswith("infer_mixed")
+    assert [line.split()[0] for line in lines[2:4]] == list(BETTER)
+    assert all("2/2" in line and line.endswith("holds") for line in lines[2:4])
+    assert lines[-1] == "  failed: parent 0/200, change 0/200"
+
+
+@pytest.mark.parametrize("parent, change, ok", [
+    ("/a/parent", "/a/change", True),
+    ("/a/parent", "/a/ch", False),
+])
+def test_checkout_paths_must_have_the_same_length(parent, change, ok):
+    problem = ab.path_problem(Path(parent), Path(change))
+    assert (problem is None) == ok

@@ -161,3 +161,42 @@ def test_encode_input_and_parameter_gradients_match_finite_differences(n):
                 assert not grad.any(), (name, gate)
             else:
                 assert np.any(np.abs(fd_block) > 1e-8), (name, gate)
+
+
+def test_interleaved_loops_match_each_loop_run_alone():
+    # each loop owns its scratch vectors: loops over different inputs, two of
+    # one cell and one of another, advanced in turn step by step, give what
+    # each gives alone
+    rng = np.random.default_rng(14)
+    n, d = 6, 3
+    first, second = (GruCell(GruParams.init(rng, 4, d)) for _ in range(2))
+    cells = [first, first, second]
+    Xs = [rng.uniform(-2, 2, (n, 4)) for _ in cells]
+    DHs = [rng.uniform(-1, 1, (n, d)) for _ in cells]
+
+    def forward(cell, X):
+        H, G = np.zeros((n + 1, d)), np.empty((n, 3 * d))
+        return H, G, cell.states(cell.inputs(X), H, G)
+
+    def backward(cell, H, G, DH):
+        DA = np.empty((n, 3 * d))
+        return DA, (dh.copy() for dh in cell.grads_back(cell.slopes(H[:-1], G), DA, DH))
+
+    alone = []
+    for cell, X, DH in zip(cells, Xs, DHs):
+        H, G, steps = forward(cell, X)
+        for _ in steps:
+            pass
+        DA, steps = backward(cell, H, G, DH)
+        alone.append((H, G, DA, list(steps)))
+
+    fwd = [forward(cell, X) for cell, X in zip(cells, Xs)]
+    assert len(list(zip(*(steps for _, _, steps in fwd)))) == n
+    bwd = [backward(cell, H, G, DH) for cell, (H, G, _), DH in zip(cells, fwd, DHs)]
+    yielded = list(zip(*(steps for _, steps in bwd)))
+    assert len(yielded) == n
+    for k, (H, G, DA, grads) in enumerate(alone):
+        for got, want in zip((*fwd[k][:2], bwd[k][0]), (H, G, DA)):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip((step[k] for step in yielded), grads):
+            np.testing.assert_array_equal(got, want)
