@@ -8,12 +8,14 @@ procedure runs at training and inference (no teacher forcing). A softmax
 over a linear map of T yields the per-character tag distribution.
 
 The whole decoder is one autodiff node, `decode_sequence`: the encoder's
-`GruCell` loops with the label-feedback term added to its gates, the tag head
-over all n label rows, and a hand-written backpropagation through time. The
-feedback runs between the loops' yields: after forward step t it writes
-T_{t+1} into its row and adds T_{t+1} V into the next step's pre-activation
-row in place; before backward step t it writes the gradient that reaches
-h_{t+1} through T_{t+1} into the row the cell's backward loop reads.
+single-cell `GruCell` loops with the label-feedback term added to its gates,
+the tag head over all n label rows, and a hand-written backpropagation through
+time. The feedback runs between the loops' yields, each call in the cheapest
+form the cell's loops use: after forward step t it writes T_{t+1} into its
+row and adds T_{t+1} V into the next step's pre-activation row in place;
+before backward step t it writes the gradient that reaches h_{t+1} through
+T_{t+1} into the c block of the pre-activation gradient row that the cell's
+backward step reads first and then overwrites.
 """
 
 from __future__ import annotations
@@ -83,14 +85,15 @@ def decode_sequence(h_stars: Tensor,
     T = np.zeros((n + 1, tau))
     G = np.empty((n, 3 * d))
     feedback = np.empty(3 * d)
+    add, dot, tanh = np.add, np.dot, np.tanh
     steps = cell.states(A, H, G)
     for a, t_in, h, t_out in zip(A, T, H[1:], T[1:]):
-        np.dot(t_in, V, out=feedback)
-        a += feedback
+        dot(t_in, V, feedback)
+        add(a, feedback, a)
         next(steps)  # the GRU step writes h
-        np.dot(h, W_T, out=t_out)
-        t_out += b_T
-        np.tanh(t_out, out=t_out)
+        dot(h, W_T, t_out)
+        add(t_out, b_T, t_out)
+        tanh(t_out, t_out)
     Y = nm.softmax(T[1:] @ W_Y + p.b_Y.data)
 
     def backward(g: np.ndarray) -> None:
@@ -99,17 +102,19 @@ def decode_sequence(h_stars: Tensor,
         nm.accumulate(p.b_Y, dZ.sum(axis=0, keepdims=True))
         g_T = dZ @ W_Y.T  # the label rows' gradient
         DT = 1.0 - T[1:] * T[1:]  # tanh slopes, then the T pre-activation grads
-        DA, DH = np.empty((n, 3 * d)), np.empty((n, d))
+        DA = np.empty((n, 3 * d))
         dT = np.zeros(tau)  # T_t's gradient through the gates of step t+1
         W_T_T, V_T = W_T.T, V.T
-        steps = cell.grads_back(cell.slopes(H[:-1], G), DA, DH)
-        for dt, g_t, dh, da in zip(DT[::-1], g_T[::-1], DH[::-1], DA[::-1]):
-            dT += g_t
-            dt *= dT
-            np.dot(dt, W_T_T, out=dh)
+        add, mul, dot = np.add, np.multiply, np.dot
+        steps = cell.grads_back(cell.slopes(H[:-1], G, DA), DA)
+        for dt, g_t, dh, da in zip(DT[::-1], g_T[::-1], DA[::-1, 2 * d :], DA[::-1]):
+            add(dT, g_t, dT)
+            mul(dt, dT, dt)
+            dot(dt, W_T_T, dh)
             next(steps)  # the GRU step back writes da
-            np.dot(da, V_T, out=dT)
-        nm.accumulate(h_stars, cell.accumulate_grads(h_stars.data, H[:-1], G, DA))
+            dot(da, V_T, dT)
+        nm.accumulate(h_stars, cell.accumulate_grads(h_stars.data, H[:-1],
+                                                     G[:, d : 2 * d], DA))
         grads = (T[:-1].T @ DA, H[1:].T @ DT, DT.sum(axis=0, keepdims=True))
         for theta, grad in zip((p.V, p.W_T, p.b_T), grads):
             nm.accumulate(theta, grad)

@@ -6,21 +6,20 @@ Two independent direction passes read the sequence forwards and backwards and
 their per-position outputs are concatenated.
 
 `encode` is one autodiff node with a hand-written backpropagation through
-time. `GruCell` is the numpy cell, forward and backward: `GruCell.run` makes
-one pass over a sequence, with the input projections of all steps as one
-matmul against the packed input map W, and returns the states plus a
-backward closure that sums every weight gradient as one whole-sequence
-product. The recurrence is two generator loops, `GruCell.states` and
-`GruCell.grads_back`, that write each step's gates, state and gradients in
-place into rows of whole-sequence arrays (each gemv through `np.dot(...,
-out=)`) and yield after each step; the decoder runs its label feedback
-between their yields.
+time. `GruCell` is one direction's numpy cell, its input projections one
+matmul and its weight gradients whole-sequence products. Each recurrent step
+writes in place into rows of whole-sequence arrays, every call in its
+cheapest form: positional outputs, ufuncs bound to local names, the sigmoid's
+constants as 0-d arrays. `encode` runs both directions side by side, in one
+forward loop and one backward loop, so that every elementwise call covers
+both; the decoder runs one cell through the generator loops `GruCell.states`
+and `GruCell.grads_back`, and its label feedback between their yields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -66,6 +65,11 @@ class BiGruParams:
                    backward=GruParams.init(rng, m_in, d_enc))
 
 
+def _columns(M: np.ndarray, d: int, *bounds: int) -> list[np.ndarray]:
+    """The column views M[:, i*d : j*d] of each consecutive pair of bounds."""
+    return [M[:, i * d : j * d] for i, j in zip(bounds, bounds[1:])]
+
+
 class GruCell:
     """The GRU cell in numpy, reading a parameter set's packed z | r | c
     weights as they are stored.
@@ -85,7 +89,9 @@ class GruCell:
         self.d = self.U.shape[0]
 
     def inputs(self, X: np.ndarray) -> np.ndarray:
-        """(n, 3d) input pre-activations of every step, as one matmul."""
+        """(n, 3d) input pre-activations of every step, as one matmul. Raises
+        DimensionError (a ValueError) for an empty X or a width that does not
+        match W."""
         if X.shape[0] < 1:
             raise nm.DimensionError("GRU: empty sequence")
         if X.shape[1] != self.W.shape[0]:
@@ -100,90 +106,162 @@ class GruCell:
         may add to A's next row between yields."""
         d = self.d
         U_zr, U = self.U_zr, self.U
+        add, mul, sub, dot, tanh = np.add, np.multiply, np.subtract, np.dot, np.tanh
+        half, one = np.array(0.5), np.array(1.0)  # cheaper operands than floats
         rh = np.empty(d)  # r*h of the current step
         for a_zr, a_c, h, h_new, zr, z, r, c in zip(
-                A[:, : 2 * d], A[:, 2 * d :], H, H[1:], G[:, : 2 * d], *np.hsplit(G, 3)):
-            np.dot(h, U_zr, out=zr)
-            zr += a_zr
-            zr *= 0.5
-            np.tanh(zr, out=zr)
-            zr += 1.0
-            zr *= 0.5  # sigmoid, computed via tanh for stability on large |x|
-            np.multiply(r, h, out=rh)
-            np.dot(rh, U, out=c)
-            c += a_c
-            np.tanh(c, out=c)
-            np.subtract(c, h, out=h_new)
-            h_new *= z
-            h_new += h
+                *_columns(A, d, 0, 2, 3), H, H[1:], *_columns(G, d, 0, 2),
+                *_columns(G, d, 0, 1, 2, 3)):
+            dot(h, U_zr, zr)
+            add(zr, a_zr, zr)
+            mul(zr, half, zr)
+            tanh(zr, zr)
+            add(zr, one, zr)
+            mul(zr, half, zr)  # sigmoid, computed via tanh for stability on large |x|
+            mul(r, h, rh)
+            dot(rh, U, c)
+            add(c, a_c, c)
+            tanh(c, c)
+            sub(c, h, h_new)
+            mul(h_new, z, h_new)
+            add(h_new, h, h_new)
             yield
 
-    def slopes(self, H_prev: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """(n, 5d) per-step factors of `grads_back`, for all steps at once:
-        dh'/da_c, dh'/da_z, d(r*h)/da_r, dh'/dh through the update, and r."""
-        d = self.d
-        Z, R, C = G[:, :d], G[:, d : 2 * d], G[:, 2 * d :]
-        return np.hstack([Z * (1.0 - C * C), (C - H_prev) * Z * (1.0 - Z),
-                          H_prev * R * (1.0 - R), 1.0 - Z, R])
+    def slopes(self, H_prev: np.ndarray, G: np.ndarray, DA: np.ndarray) -> np.ndarray:
+        """Per-step factors of the backward loops, for all steps at once:
+        writes dh'/da_z and d(r*h)/da_r into DA's z and r blocks, which each
+        step reads before it writes its gradients there, and returns dh'/da_c,
+        dh'/dh through the update, and r. The arrays hold one cell, or two
+        side by side as `encode` lays them out."""
+        n, d = G.shape[0], self.d
+        k = H_prev.shape[1] // d  # cells side by side
+        Z, R = (G[:, : 2 * k * d].reshape(n, k, 2, d)[:, :, i] for i in (0, 1))
+        s_z, s_r = (DA[:, : 2 * k * d].reshape(n, k, 2, d)[:, :, i] for i in (0, 1))
+        C, H_prev = G[:, 2 * k * d :].reshape(n, k, d), H_prev.reshape(n, k, d)
+        S = np.empty((n, 3, k, d))
+        s_c, s_h, r = S[:, 0], S[:, 1], S[:, 2]
+        # s_z = (c - h) z (1 - z), s_c = z (1 - c*c), s_r = h r (1 - r),
+        # each written in place, with no whole-sequence temporary
+        np.subtract(1.0, Z, s_h)
+        np.multiply(np.multiply(np.subtract(C, H_prev, s_z), Z, s_z), s_h, s_z)
+        np.multiply(Z, np.subtract(1.0, np.multiply(C, C, s_c), s_c), s_c)
+        np.multiply(np.multiply(H_prev, R, s_r), np.subtract(1.0, R, r), s_r)
+        r[...] = R
+        return S.reshape(n, 3 * k * d)
 
-    def grads_back(self, S: np.ndarray, DA: np.ndarray,
-                   DH: np.ndarray) -> Iterator[np.ndarray]:
-        """The backward loop of `states`, last step first. Step t reads DH[t],
-        the gradient that reaches state t + 1 from outside the recurrence, and
-        its row of `slopes` S; it writes the pre-activation gradient into
-        DA[t] and yields the gradient of state t (a scratch row, rewritten by
-        the next step). A caller may write DH's next row between yields."""
+    def grads_back(self, S: np.ndarray, DA: np.ndarray) -> Iterator[np.ndarray]:
+        """The backward loop of `states`, last step first. Step t reads the
+        gradient that reaches state t + 1 from outside the recurrence from
+        DA[t]'s c block, and its factors from `slopes`: S[t] and DA[t]'s z|r
+        block. It writes the pre-activation gradient into DA[t] and yields
+        the gradient of state t (a scratch row, rewritten by the next step).
+        A caller may write the next row's c block between yields."""
         d = self.d
         U_T, U_zr_T = self.U.T, self.U_zr.T
+        add, mul, dot = np.add, np.multiply, np.dot
         dh, d_rh, d_zr = np.zeros(d), np.empty(d), np.empty(d)
         S, DA = S[::-1], DA[::-1]
-        for s_c, s_z, s_r, s_h, r, da_zr, da_z, da_r, da_c, g in zip(
-                *np.hsplit(S, 5), DA[:, : 2 * d], *np.hsplit(DA, 3), DH[::-1]):
-            dh += g
-            np.multiply(dh, s_c, out=da_c)
-            np.dot(da_c, U_T, out=d_rh)
-            np.multiply(dh, s_z, out=da_z)
-            np.multiply(d_rh, s_r, out=da_r)
-            np.dot(da_zr, U_zr_T, out=d_zr)
-            dh *= s_h
-            d_rh *= r
-            dh += d_rh
-            dh += d_zr
+        for s_c, s_h, r, da_zr, da_z, da_r, da_c in zip(
+                *_columns(S, d, 0, 1, 2, 3), *_columns(DA, d, 0, 2),
+                *_columns(DA, d, 0, 1, 2, 3)):
+            add(dh, da_c, dh)
+            mul(dh, s_c, da_c)
+            dot(da_c, U_T, d_rh)
+            mul(dh, da_z, da_z)
+            mul(d_rh, da_r, da_r)
+            dot(da_zr, U_zr_T, d_zr)
+            mul(dh, s_h, dh)
+            mul(d_rh, r, d_rh)
+            add(dh, d_rh, dh)
+            add(dh, d_zr, dh)
             yield dh
 
-    def accumulate_grads(self, X: np.ndarray, H_prev: np.ndarray, G: np.ndarray,
+    def accumulate_grads(self, X: np.ndarray, H_prev: np.ndarray, R: np.ndarray,
                          DA: np.ndarray) -> np.ndarray:
         """Accumulates the whole-sequence gradients of W, U_zr, U and b, from
         the (n, 3d) pre-activation gradients DA, the inputs X, the states
-        H_prev the steps read and their gates G; returns the gradient of X."""
+        H_prev the steps read and their reset gates R; returns the gradient
+        of X."""
         d = self.d
-        grads = (X.T @ DA, H_prev.T @ DA[:, : 2 * d],
-                 (G[:, d : 2 * d] * H_prev).T @ DA[:, 2 * d :],
+        grads = (X.T @ DA, H_prev.T @ DA[:, : 2 * d], (R * H_prev).T @ DA[:, 2 * d :],
                  DA.sum(axis=0, keepdims=True))
         for t, g in zip(self.tensors, grads):
             nm.accumulate(t, g)
         return DA @ self.W.T
 
-    def run(self, X: np.ndarray
-            ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        """One pass over the (n, m) rows of X from a zero state: the (n, d)
-        states and a backward closure that takes their gradient, accumulates
-        the parameter gradients and returns X's. Raises DimensionError (a
-        ValueError) for an empty X or a width that does not match W."""
-        A = self.inputs(X)
-        n, d = X.shape[0], self.d
-        H = np.zeros((n + 1, d))  # H[t] is the state step t reads
-        G = np.empty((n, 3 * d))
-        for _ in self.states(A, H, G):
-            pass
 
-        def backward(g: np.ndarray) -> np.ndarray:
-            DA = np.empty((n, 3 * d))
-            for _ in self.grads_back(self.slopes(H[:-1], G), DA, g):
-                pass
-            return self.accumulate_grads(X, H[:-1], G, DA)
+def _direction(M: np.ndarray, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Direction k's z|r and c column blocks of a side-by-side (n, 6d) array."""
+    return M[:, 2 * k * d : 2 * (k + 1) * d], M[:, (4 + k) * d : (5 + k) * d]
 
-        return H[1:], backward
+
+def _bi_states(cells: tuple[GruCell, GruCell], A: np.ndarray, H: np.ndarray,
+               G: np.ndarray) -> None:
+    """`GruCell.states` of both directions at once, on side-by-side rows:
+    every elementwise call covers both, and the gemvs and the products r*h
+    and *z, whose operands interleave, run per direction."""
+    d = cells[0].d
+    (U_zr_f, U_f), (U_zr_b, U_b) = ((cell.U_zr, cell.U) for cell in cells)
+    add, mul, sub, dot, tanh = np.add, np.multiply, np.subtract, np.dot, np.tanh
+    half, one = np.array(0.5), np.array(1.0)
+    rh = np.empty(2 * d)
+    rh_f, rh_b = rh[:d], rh[d:]
+    for (a_zr, a_c, h, h_f, h_b, h_new, h_new_f, h_new_b, zr, zr_f, zr_b,
+         z_f, r_f, z_b, r_b, c, c_f, c_b) in zip(
+            *_columns(A, d, 0, 4, 6), H, *_columns(H, d, 0, 1, 2),
+            H[1:], *_columns(H[1:], d, 0, 1, 2), G[:, : 4 * d],
+            *_columns(G, d, 0, 2, 4), *_columns(G, d, 0, 1, 2, 3, 4),
+            G[:, 4 * d :], *_columns(G, d, 4, 5, 6)):
+        dot(h_f, U_zr_f, zr_f)
+        dot(h_b, U_zr_b, zr_b)
+        add(zr, a_zr, zr)
+        mul(zr, half, zr)
+        tanh(zr, zr)
+        add(zr, one, zr)
+        mul(zr, half, zr)
+        mul(r_f, h_f, rh_f)
+        mul(r_b, h_b, rh_b)
+        dot(rh_f, U_f, c_f)
+        dot(rh_b, U_b, c_b)
+        add(c, a_c, c)
+        tanh(c, c)
+        sub(c, h, h_new)
+        mul(h_new_f, z_f, h_new_f)
+        mul(h_new_b, z_b, h_new_b)
+        add(h_new, h, h_new)
+
+
+def _bi_grads_back(cells: tuple[GruCell, GruCell], S: np.ndarray,
+                   DA: np.ndarray) -> None:
+    """`GruCell.grads_back` of both directions at once, on the rows of
+    `_bi_states`: DA enters with the state gradients [dh_f | dh_b] in its c
+    blocks and `GruCell.slopes`' factors in its z|r blocks. The gemvs and the
+    products da_z and da_r, whose operands interleave, run per direction."""
+    d = cells[0].d
+    (U_T_f, U_zr_T_f), (U_T_b, U_zr_T_b) = ((cell.U.T, cell.U_zr.T) for cell in cells)
+    add, mul, dot = np.add, np.multiply, np.dot
+    dh, d_rh, d_zr = np.zeros(2 * d), np.empty(2 * d), np.empty(2 * d)
+    dh_f, dh_b, d_rh_f, d_rh_b, d_zr_f, d_zr_b = (
+        dh[:d], dh[d:], d_rh[:d], d_rh[d:], d_zr[:d], d_zr[d:])
+    S, DA = S[::-1], DA[::-1]
+    for (s_c, s_h, r, da_c, da_c_f, da_c_b, da_zr_f, da_zr_b,
+         da_z_f, da_r_f, da_z_b, da_r_b) in zip(
+            *_columns(S, d, 0, 2, 4, 6), DA[:, 4 * d :], *_columns(DA, d, 4, 5, 6),
+            *_columns(DA, d, 0, 2, 4), *_columns(DA, d, 0, 1, 2, 3, 4)):
+        add(dh, da_c, dh)
+        mul(dh, s_c, da_c)
+        dot(da_c_f, U_T_f, d_rh_f)
+        dot(da_c_b, U_T_b, d_rh_b)
+        mul(dh_f, da_z_f, da_z_f)
+        mul(dh_b, da_z_b, da_z_b)
+        mul(d_rh_f, da_r_f, da_r_f)
+        mul(d_rh_b, da_r_b, da_r_b)
+        dot(da_zr_f, U_zr_T_f, d_zr_f)
+        dot(da_zr_b, U_zr_T_b, d_zr_b)
+        mul(dh, s_h, dh)
+        mul(d_rh, r, d_rh)
+        add(dh, d_rh, dh)
+        add(dh, d_zr, dh)
 
 
 def encode(E: Tensor, p: BiGruParams) -> Tensor:
@@ -191,16 +269,29 @@ def encode(E: Tensor, p: BiGruParams) -> Tensor:
     both passes start from zeros.
 
     The backward pass runs over a reversed copy of the rows and its states
-    are reversed back. An empty E or a width that does not match the input
-    maps raises DimensionError (a ValueError).
+    are reversed back. The two directions run side by side: rows of H are
+    [h_f | h_b], and rows of the (n, 6d) pre-activations, gates and their
+    gradients are [z_f r_f | z_b r_b | c_f | c_b]. An empty E or a width
+    that does not match the input maps raises DimensionError (a ValueError).
     """
-    fwd, bwd = GruCell(p.forward), GruCell(p.backward)
-    H_f, back_f = fwd.run(E.data)
-    H_b, back_b = bwd.run(E.data[::-1].copy())
-    d = fwd.d
+    cells = GruCell(p.forward), GruCell(p.backward)
+    X = E.data, E.data[::-1].copy()
+    n, d = E.shape[0], cells[0].d
+    A, G, H = np.empty((n, 6 * d)), np.empty((n, 6 * d)), np.zeros((n + 1, 2 * d))
+    for k, (cell, x) in enumerate(zip(cells, X)):
+        a, (a_zr, a_c) = cell.inputs(x), _direction(A, d, k)
+        a_zr[...], a_c[...] = a[:, : 2 * d], a[:, 2 * d :]
+    _bi_states(cells, A, H, G)
 
     def backward(g: np.ndarray) -> None:
-        nm.accumulate(E, back_f(g[:, :d]) + back_b(g[::-1, d:])[::-1])
+        DA = np.empty((n, 6 * d))
+        DA[:, 4 * d : 5 * d], DA[:, 5 * d :] = g[:, :d], g[::-1, d:]  # [dh_f | dh_b]
+        _bi_grads_back(cells, cells[0].slopes(H[:-1], G, DA), DA)
+        dX = [cell.accumulate_grads(x, H[:-1, k * d : (k + 1) * d],
+                                    _direction(G, d, k)[0][:, d:],
+                                    np.hstack(_direction(DA, d, k)))
+              for k, (cell, x) in enumerate(zip(cells, X))]
+        nm.accumulate(E, dX[0] + dX[1][::-1])
 
-    return nm.result(np.hstack([H_f, H_b[::-1]]), (E, *fwd.tensors, *bwd.tensors),
-                     backward)
+    return nm.result(np.hstack([H[1:, :d], H[:0:-1, d:]]),
+                     (E, *cells[0].tensors, *cells[1].tensors), backward)

@@ -9,7 +9,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import ab  # noqa: E402
 
-BETTER = {"chars_per_s": "higher", "op_ms_p90": "lower"}
+DECLARED = {"chars_per_s": {"better": "higher", "bound": 0.25},
+            "op_ms_p90": {"better": "lower", "bound": 0.1}}
 
 
 def result(chars_per_s, op_ms_p90, failed=0, attempted=100):
@@ -28,9 +29,9 @@ def test_wins_follow_each_metrics_direction_and_ties_count_for_neither():
     pairs = [(result(100, 7.0), result(110, 6.0)),   # better on both
              (result(100, 7.0), result(90, 8.0)),    # worse on both
              (result(100, 7.0), result(100, 7.0))]   # a tie on both
-    metrics = ab.summarize(pairs, BETTER)["metrics"]
-    assert [metrics[m]["wins"] for m in BETTER] == [1, 1]
-    assert all(metrics[m]["pairs"] == 3 for m in BETTER)
+    metrics = ab.summarize(pairs, DECLARED)["metrics"]
+    assert [metrics[m]["wins"] for m in DECLARED] == [1, 1]
+    assert all(metrics[m]["pairs"] == 3 for m in DECLARED)
     assert metrics["chars_per_s"]["parent"] == (100, 100, 100)
     assert metrics["chars_per_s"]["change"] == (95, 100, 105)
 
@@ -41,7 +42,7 @@ def test_gain_rule_needs_nine_wins_in_ten_and_a_gap_beyond_the_parents_spread():
 
     def holds(change_p90):
         pairs = [(result(100, p), result(100, c)) for p, c in zip(parent_p90, change_p90)]
-        return ab.summarize(pairs, {"op_ms_p90": "lower"})["metrics"]["op_ms_p90"]["holds"]
+        return ab.summarize(pairs, DECLARED)["metrics"]["op_ms_p90"]["holds"]
 
     assert holds(better)
     assert holds(better[:9] + [parent_p90[9] + 1.0])  # 9/10 wins
@@ -51,18 +52,34 @@ def test_gain_rule_needs_nine_wins_in_ten_and_a_gap_beyond_the_parents_spread():
     assert not holds([p + 1.0 for p in parent_p90])  # worse, 0/10
 
 
+def test_no_regression_rule_bounds_each_median_by_its_declared_fraction():
+    # chars_per_s may fall by 25% of the parent's median, op_ms_p90 rise by 10%
+    def within(change_chars, change_p90):
+        pairs = [(result(100, 10.0), result(change_chars, change_p90))]
+        metrics = ab.summarize(pairs, DECLARED)["metrics"]
+        return metrics["chars_per_s"]["within"], metrics["op_ms_p90"]["within"]
+
+    assert within(120, 8.0) == (True, True)  # better on both
+    assert within(76, 10.9) == (True, True)  # worse, inside each bound
+    assert within(74, 11.1) == (False, False)  # worse, beyond each bound
+    assert within(75, 11.0) == (True, True)  # on the bound
+    text = ab.report("train_long", ab.summarize([(result(100, 10.0), result(74, 10.9))],
+                                                DECLARED))
+    assert "beyond 25%" in text.splitlines()[2] and "within 10%" in text.splitlines()[3]
+
+
 def test_failed_operations_are_summed_per_side():
     pairs = [(result(100, 7.0, failed=1), result(100, 7.0, attempted=90)),
              (result(100, 7.0), result(100, 7.0, failed=2, attempted=80))]
-    assert ab.summarize(pairs, BETTER)["failed"] == {"parent": (1, 200), "change": (2, 170)}
+    assert ab.summarize(pairs, DECLARED)["failed"] == {"parent": (1, 200), "change": (2, 170)}
 
 
 def test_report_has_one_line_per_metric_and_the_failed_counts():
     pairs = [(result(100, 7.0), result(110, 6.0)), (result(102, 7.2), result(112, 6.1))]
-    text = ab.report("infer_mixed", ab.summarize(pairs, BETTER))
+    text = ab.report("infer_mixed", ab.summarize(pairs, DECLARED))
     lines = text.splitlines()
     assert lines[0].startswith("infer_mixed")
-    assert [line.split()[0] for line in lines[2:4]] == list(BETTER)
+    assert [line.split()[0] for line in lines[2:4]] == list(DECLARED)
     assert all("2/2" in line and line.endswith("holds") for line in lines[2:4])
     assert lines[-1] == "  failed: parent 0/200, change 0/200"
 

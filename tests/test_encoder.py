@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import (
-    arrays, check_finite_differences, named_tensors, np_sigmoid, reference_gru_sequence)
+    arrays, check_finite_differences, gru_states, named_tensors, np_sigmoid,
+    reference_gru_sequence, weighted)
+from tripletag import encoder
 from tripletag import numerics as nm
 from tripletag.encoder import BiGruParams, GruCell, GruParams, encode
 from tripletag.numerics import Tensor
@@ -17,10 +19,15 @@ def zero_gru(m_in, d):
     return p
 
 
+def states(p, X):
+    """The (n, d) states of one direction's `GruCell` over the rows of X."""
+    return gru_states(GruCell(p), X)[0][1:]
+
+
 class TestGruStep:
     def test_all_zero_params_keep_zero_state(self):
         p = zero_gru(3, 2)
-        h = GruCell(p).run(np.array([[1.0, -1.0, 2.0]]))[0]
+        h = states(p, np.array([[1.0, -1.0, 2.0]]))
         np.testing.assert_array_equal(h, [[0.0, 0.0]])
 
     def test_scalar_hand_case(self):
@@ -28,7 +35,7 @@ class TestGruStep:
         p = zero_gru(1, 1)
         p.W.data[0, 2] = 1.0  # candidate column (z | r | c)
         p.W.data[0, 1] = 0.7  # reset column: r is irrelevant with h_prev = 0
-        h = GruCell(p).run(np.array([[1.0]]))[0].item()
+        h = states(p, np.array([[1.0]])).item()
         assert abs(h - 0.5 * math.tanh(1.0)) < 1e-12
         assert abs(h - 0.380797) < 1e-6
 
@@ -37,19 +44,19 @@ class TestGruStep:
         p = GruParams.init(rng, 4, 3)
         E = rng.uniform(-2, 2, (6, 4))
         want = reference_gru_sequence(E, arrays(p))
-        h = GruCell(p).run(E)[0]
+        h = states(p, E)
         for t in range(6):
             np.testing.assert_allclose(h[t], want[t], atol=1e-12)
 
     def test_dimension_mismatch(self):
         p = GruParams.init(np.random.default_rng(2), 4, 3)
         with pytest.raises(nm.DimensionError):
-            GruCell(p).run(np.array([[1.0, 2.0]]))
+            states(p, np.array([[1.0, 2.0]]))
 
     def test_empty_sequence_rejected(self):
         p = GruParams.init(np.random.default_rng(2), 4, 3)
         with pytest.raises(nm.DimensionError):
-            GruCell(p).run(np.zeros((0, 4)))
+            states(p, np.zeros((0, 4)))
 
 
 def test_init_packs_per_gate_draws_in_order():
@@ -73,8 +80,8 @@ class TestEncode:
         p = BiGruParams.init(rng, 4, 3)
         E = Tensor(rng.uniform(-1, 1, (1, 4)))
         out = encode(E, p)
-        f = GruCell(p.forward).run(E.data)[0]
-        b = GruCell(p.backward).run(E.data)[0]
+        f = states(p.forward, E.data)
+        b = states(p.backward, E.data)
         np.testing.assert_allclose(out.data, np.hstack([f, b]), atol=1e-15)
 
     def test_matches_two_unidirectional_passes(self):
@@ -116,7 +123,7 @@ def test_hidden_states_bounded_with_zero_init(seed):
     for _, t in named_tensors(p):
         t.data *= 4.0  # exaggerate weights; boundedness must still hold
     E = rng.uniform(-3, 3, (12, 4))
-    h = GruCell(p).run(E)[0]
+    h = states(p, E)
     for t in range(12):
         assert np.all(np.abs(h[t]) < 1.0)
 
@@ -163,6 +170,52 @@ def test_encode_input_and_parameter_gradients_match_finite_differences(n):
                 assert np.any(np.abs(fd_block) > 1e-8), (name, gate)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_encode_equals_two_single_cell_loops_bit_for_bit(n, monkeypatch):
+    # encode runs its directions side by side in one loop each way, with the
+    # operations and operands of two GruCell loops, one over E's rows and one
+    # over them reversed: states, gates and gradients agree to the bit
+    m, d = 5, 4
+    rng = np.random.default_rng(40 + n)
+    p, q = (BiGruParams.init(rng, m, d) for _ in range(2))
+    for (_, theta), (_, twin) in zip(named_tensors(p), named_tensors(q)):
+        theta.data[:] = rng.uniform(-1, 1, theta.shape)  # biases too
+        twin.data[:] = theta.data
+    E = Tensor(rng.uniform(-2, 2, (n, m)), requires_grad=True)
+    g = rng.uniform(-1, 1, (n, 2 * d))
+    seen = {}
+    bi_states = encoder._bi_states
+
+    def spy(cells, A, H, G):
+        bi_states(cells, A, H, G)
+        seen.update(H=H, G=G)
+
+    monkeypatch.setattr(encoder, "_bi_states", spy)
+    out = encode(E, p)
+    nm.backward(weighted(out, g))  # encode's node receives g as it is
+
+    dX, H_by_direction = [], []
+    for k, (cell, X, DH) in enumerate(zip((GruCell(q.forward), GruCell(q.backward)),
+                                          (E.data, E.data[::-1].copy()),
+                                          (g[:, :d], g[::-1, d:]))):
+        H, G = gru_states(cell, X)
+        H_by_direction.append(H)
+        # seen["G"] rows are [z_f r_f | z_b r_b | c_f | c_b]
+        np.testing.assert_array_equal(seen["H"][:, k * d : (k + 1) * d], H)
+        np.testing.assert_array_equal(seen["G"][:, 2 * k * d : 2 * (k + 1) * d], G[:, : 2 * d])
+        np.testing.assert_array_equal(seen["G"][:, (4 + k) * d : (5 + k) * d], G[:, 2 * d :])
+        DA = np.empty((n, 3 * d))
+        DA[:, 2 * d :] = DH
+        for _ in cell.grads_back(cell.slopes(H[:-1], G, DA), DA):
+            pass
+        dX.append(cell.accumulate_grads(X, H[:-1], G[:, d : 2 * d], DA))
+    H_f, H_b = H_by_direction
+    np.testing.assert_array_equal(out.data, np.hstack([H_f[1:], H_b[:0:-1]]))
+    np.testing.assert_array_equal(E.grad, dX[0] + dX[1][::-1])
+    for (name, theta), (_, twin) in zip(named_tensors(p), named_tensors(q)):
+        np.testing.assert_array_equal(theta.grad, twin.grad, err_msg=name)
+
+
 def test_interleaved_loops_match_each_loop_run_alone():
     # each loop owns its scratch vectors: loops over different inputs, two of
     # one cell and one of another, advanced in turn step by step, give what
@@ -180,7 +233,8 @@ def test_interleaved_loops_match_each_loop_run_alone():
 
     def backward(cell, H, G, DH):
         DA = np.empty((n, 3 * d))
-        return DA, (dh.copy() for dh in cell.grads_back(cell.slopes(H[:-1], G), DA, DH))
+        DA[:, 2 * d :] = DH
+        return DA, (dh.copy() for dh in cell.grads_back(cell.slopes(H[:-1], G, DA), DA))
 
     alone = []
     for cell, X, DH in zip(cells, Xs, DHs):

@@ -13,6 +13,9 @@ metric:
 - each side's median and quartiles;
 - the change's wins: pairs where its value is better in the metric's
   `better` direction (ties count for neither);
+- whether the no-regression rule holds: the change's median is worse than
+  the parent's by no more than the metric's `bound`, a fraction of the
+  parent's median ("within 25%" or "beyond 25%");
 - whether the gain rule holds: the change wins at least 9 of every 10 pairs,
   and its median is better than the parent's by more than the parent's
   interquartile range;
@@ -66,19 +69,22 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
+def summarize(pairs: list[tuple[dict, dict]], declared: dict[str, dict]) -> dict:
     """One workload's (parent, change) results, paired by seed: per metric
-    of `better` (name -> "higher" or "lower"), each side's quartiles, the
-    change's wins and whether the gain rule holds; and each side's failed
-    and attempted operations."""
+    of `declared` (name -> its BENCHMARK.json entry, with `better`, "higher"
+    or "lower", and `bound`), each side's quartiles, the change's wins, and
+    whether the no-regression rule and the gain rule hold; and each side's
+    failed and attempted operations."""
     metrics = {}
-    for name, direction in better.items():
-        sign = 1.0 if direction == "higher" else -1.0
+    for name, spec in declared.items():
+        sign = 1.0 if spec["better"] == "higher" else -1.0
         parent, change = ([r["metrics"][name]["value"] for r in side] for side in zip(*pairs))
         p, c = quartiles(parent), quartiles(change)
         wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
         metrics[name] = {
             "parent": p, "change": c, "wins": wins, "pairs": len(pairs),
+            "bound": spec["bound"],
+            "within": -sign * (c[1] - p[1]) <= spec["bound"] * abs(p[1]),
             "holds": (wins * WINS_NEEDED[1] >= WINS_NEEDED[0] * len(pairs)
                       and sign * (c[1] - p[1]) > p[2] - p[0]),
         }
@@ -94,12 +100,13 @@ def report(workload: str, summary: dict) -> str:
 
     lines = [f"{workload}: median (quartiles), parent -> change",
              f"  {'metric':12s} {'parent':34s} {'change':34s} {'shift':>8s} "
-             f"{'wins':>6s}  gain rule"]
+             f"{'wins':>6s}  {'bound':11s}  gain rule"]
     for name, m in summary["metrics"].items():
         p, c = m["parent"][1], m["change"][1]
         shift = f"{(c - p) / p:+.1%}" if p else "n/a"
         lines.append(f"  {name:12s} {side(m['parent']):34s} {side(m['change']):34s} "
                      f"{shift:>8s} {m['wins']:>3d}/{m['pairs']:<2d}  "
+                     f"{'within' if m['within'] else 'beyond'} {m['bound']:<4.0%}  "
                      f"{'holds' if m['holds'] else 'does not hold'}")
     lines.append("  failed: " + ", ".join(f"{s} {f}/{a}"
                                           for s, (f, a) in summary["failed"].items()))
@@ -121,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ab: {problem}", file=sys.stderr)
         return 2
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    declared = {m["name"]: m for m in spec["end_to_end"]}
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     try:
@@ -134,10 +141,10 @@ def main(argv: list[str] | None = None) -> int:
                 pairs.append((got["parent"], got["change"]))
                 values = "  ".join(
                     f"{name} {got['parent']['metrics'][name]['value']:.6g}"
-                    f" -> {got['change']['metrics'][name]['value']:.6g}" for name in better)
+                    f" -> {got['change']['metrics'][name]['value']:.6g}" for name in declared)
                 print(f"{workload} pair {i + 1} seed {args.seed + i} ({order[0]} first): "
                       f"{values}", flush=True)
-            print(report(workload, summarize(pairs, better)), flush=True)
+            print(report(workload, summarize(pairs, declared)), flush=True)
     except KeyboardInterrupt:
         print("ab: interrupted", file=sys.stderr)
         return 130
