@@ -5,17 +5,16 @@ previous decoder hidden state, and the previous continuous label
 representation T. T is a tanh map of the hidden state and feeds the next
 step, so label information flows across time differentiably; the same
 procedure runs at training and inference (no teacher forcing). A softmax
-over a linear map of T yields the per-character tag distribution.
+over a linear map of T gives the per-character tag distribution.
 
 The whole decoder is one autodiff node, `decode_sequence`: the encoder's
-single-cell `GruCell` loops with the label-feedback term added to its gates,
-the tag head over all n label rows, and a hand-written backpropagation through
-time. The feedback runs between the loops' yields, each call in the cheapest
-form the cell's loops use: after forward step t it writes T_{t+1} into its
-row and adds T_{t+1} V into the next step's pre-activation row in place;
-before backward step t it writes the gradient that reaches h_{t+1} through
-T_{t+1} into the c block of the pre-activation gradient row that the cell's
-backward step reads first and then overwrites.
+`GruCell` with the label-feedback term added to its gates, the tag head over
+all n label rows, and a hand-written backpropagation through time. Its one
+forward loop runs, per step, the feedback, the GRU step and the label row;
+its one backward loop runs, last step first, the label row's gradient, the
+GRU step back and the feedback's gradient. Each call has the cheapest form
+the encoder's loops use, and writes in place into rows of whole-sequence
+arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .encoder import GruCell, packed
+from .encoder import GruCell, _columns, packed
 from .numerics import Tensor
 
 
@@ -80,18 +79,34 @@ def decode_sequence(h_stars: Tensor,
     cell = GruCell(p)
     A = cell.inputs(h_stars.data)
     n, d, tau = h_stars.shape[0], cell.d, p.label_width
-    V, W_T, b_T, W_Y = p.V.data, p.W_T.data, p.b_T.data[0], p.W_Y.data
+    U_zr, U, V = cell.U_zr, cell.U, p.V.data
+    W_T, b_T, W_Y = p.W_T.data, p.b_T.data[0], p.W_Y.data
     H = np.zeros((n + 1, d))  # H[t], T[t] are what step t reads
     T = np.zeros((n + 1, tau))
     G = np.empty((n, 3 * d))
     feedback = np.empty(3 * d)
-    add, dot, tanh = np.add, np.dot, np.tanh
-    steps = cell.states(A, H, G)
-    for a, t_in, h, t_out in zip(A, T, H[1:], T[1:]):
+    add, mul, sub, dot, tanh = np.add, np.multiply, np.subtract, np.dot, np.tanh
+    half, one = np.array(0.5), np.array(1.0)  # cheaper operands than floats
+    rh = np.empty(d)  # r*h of the current step
+    for a, a_zr, a_c, t_in, t_out, h, h_new, zr, z, r, c in zip(
+            A, *_columns(A, d, 0, 2, 3), T, T[1:], H, H[1:], *_columns(G, d, 0, 2),
+            *_columns(G, d, 0, 1, 2, 3)):
         dot(t_in, V, feedback)
         add(a, feedback, a)
-        next(steps)  # the GRU step writes h
-        dot(h, W_T, t_out)
+        dot(h, U_zr, zr)
+        add(zr, a_zr, zr)
+        mul(zr, half, zr)
+        tanh(zr, zr)
+        add(zr, one, zr)
+        mul(zr, half, zr)  # sigmoid, computed via tanh for stability on large |x|
+        mul(r, h, rh)
+        dot(rh, U, c)
+        add(c, a_c, c)
+        tanh(c, c)
+        sub(c, h, h_new)
+        mul(h_new, z, h_new)
+        add(h_new, h, h_new)
+        dot(h_new, W_T, t_out)
         add(t_out, b_T, t_out)
         tanh(t_out, t_out)
     Y = nm.softmax(T[1:] @ W_Y + p.b_Y.data)
@@ -104,14 +119,25 @@ def decode_sequence(h_stars: Tensor,
         DT = 1.0 - T[1:] * T[1:]  # tanh slopes, then the T pre-activation grads
         DA = np.empty((n, 3 * d))
         dT = np.zeros(tau)  # T_t's gradient through the gates of step t+1
-        W_T_T, V_T = W_T.T, V.T
-        add, mul, dot = np.add, np.multiply, np.dot
-        steps = cell.grads_back(cell.slopes(H[:-1], G, DA), DA)
-        for dt, g_t, dh, da in zip(DT[::-1], g_T[::-1], DA[::-1, 2 * d :], DA[::-1]):
+        W_T_T, V_T, U_T, U_zr_T = W_T.T, V.T, U.T, U_zr.T
+        S = cell.slopes(H[:-1], G, DA)[::-1]
+        dh, d_rh, d_zr = np.zeros(d), np.empty(d), np.empty(d)  # dh carries across steps
+        for dt, g_t, da, da_zr, da_z, da_r, da_c, s_c, s_h, r in zip(
+                DT[::-1], g_T[::-1], DA[::-1], *_columns(DA[::-1], d, 0, 2),
+                *_columns(DA[::-1], d, 0, 1, 2, 3), *_columns(S, d, 0, 1, 2, 3)):
             add(dT, g_t, dT)
             mul(dt, dT, dt)
-            dot(dt, W_T_T, dh)
-            next(steps)  # the GRU step back writes da
+            dot(dt, W_T_T, da_c)  # h_{t+1}'s gradient through T_{t+1}
+            add(dh, da_c, dh)
+            mul(dh, s_c, da_c)
+            dot(da_c, U_T, d_rh)
+            mul(dh, da_z, da_z)
+            mul(d_rh, da_r, da_r)
+            dot(da_zr, U_zr_T, d_zr)
+            mul(dh, s_h, dh)
+            mul(d_rh, r, d_rh)
+            add(dh, d_rh, dh)
+            add(dh, d_zr, dh)
             dot(da, V_T, dT)
         nm.accumulate(h_stars, cell.accumulate_grads(h_stars.data, H[:-1],
                                                      G[:, d : 2 * d], DA))

@@ -7,19 +7,18 @@ their per-position outputs are concatenated.
 
 `encode` is one autodiff node with a hand-written backpropagation through
 time. `GruCell` is one direction's numpy cell, its input projections one
-matmul and its weight gradients whole-sequence products. Each recurrent step
+matmul and its weight gradients whole-sequence products; the encoder and the
+decoder share it, and each writes its own step loops. Each recurrent step
 writes in place into rows of whole-sequence arrays, every call in its
 cheapest form: positional outputs, ufuncs bound to local names, the sigmoid's
 constants as 0-d arrays. `encode` runs both directions side by side, in one
 forward loop and one backward loop, so that every elementwise call covers
-both; the decoder runs one cell through the generator loops `GruCell.states`
-and `GruCell.grads_back`, and its label feedback between their yields.
+both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -76,10 +75,9 @@ class GruCell:
 
     Per step, with input pre-activations a = x W + b: z|r = sigmoid(a[:2d] +
     h U_zr), c = tanh(a[2d:] + (r*h) U) and h' = (1 - z) * h + z * c,
-    computed as h + z * (c - h). `states` and `grads_back` read and write 1-D
-    rows of the caller's whole-sequence arrays, through row views made once
-    per sequence and scratch vectors made once per loop. `p` is a
-    `GruParams` or any parameter set with its fields W, U_zr, U and b.
+    computed as h + z * (c - h). The step loops that compute it live in the
+    layers, `encode`'s and `decode_sequence`'s. `p` is a `GruParams` or any
+    parameter set with its fields W, U_zr, U and b.
     """
 
     def __init__(self, p: GruParams):
@@ -98,34 +96,6 @@ class GruCell:
             raise nm.DimensionError(
                 f"GRU: input width {X.shape[1]}, weights expect {self.W.shape[0]}")
         return X @ self.W + self.b
-
-    def states(self, A: np.ndarray, H: np.ndarray, G: np.ndarray) -> Iterator[None]:
-        """The forward loop over the (n, 3d) pre-activation rows of A from
-        state H[0]: step t writes its gates z|r|c into G[t] and its new state
-        into H[t + 1], in place, and the loop yields after each step. A caller
-        may add to A's next row between yields."""
-        d = self.d
-        U_zr, U = self.U_zr, self.U
-        add, mul, sub, dot, tanh = np.add, np.multiply, np.subtract, np.dot, np.tanh
-        half, one = np.array(0.5), np.array(1.0)  # cheaper operands than floats
-        rh = np.empty(d)  # r*h of the current step
-        for a_zr, a_c, h, h_new, zr, z, r, c in zip(
-                *_columns(A, d, 0, 2, 3), H, H[1:], *_columns(G, d, 0, 2),
-                *_columns(G, d, 0, 1, 2, 3)):
-            dot(h, U_zr, zr)
-            add(zr, a_zr, zr)
-            mul(zr, half, zr)
-            tanh(zr, zr)
-            add(zr, one, zr)
-            mul(zr, half, zr)  # sigmoid, computed via tanh for stability on large |x|
-            mul(r, h, rh)
-            dot(rh, U, c)
-            add(c, a_c, c)
-            tanh(c, c)
-            sub(c, h, h_new)
-            mul(h_new, z, h_new)
-            add(h_new, h, h_new)
-            yield
 
     def slopes(self, H_prev: np.ndarray, G: np.ndarray, DA: np.ndarray) -> np.ndarray:
         """Per-step factors of the backward loops, for all steps at once:
@@ -149,33 +119,6 @@ class GruCell:
         r[...] = R
         return S.reshape(n, 3 * k * d)
 
-    def grads_back(self, S: np.ndarray, DA: np.ndarray) -> Iterator[np.ndarray]:
-        """The backward loop of `states`, last step first. Step t reads the
-        gradient that reaches state t + 1 from outside the recurrence from
-        DA[t]'s c block, and its factors from `slopes`: S[t] and DA[t]'s z|r
-        block. It writes the pre-activation gradient into DA[t] and yields
-        the gradient of state t (a scratch row, rewritten by the next step).
-        A caller may write the next row's c block between yields."""
-        d = self.d
-        U_T, U_zr_T = self.U.T, self.U_zr.T
-        add, mul, dot = np.add, np.multiply, np.dot
-        dh, d_rh, d_zr = np.zeros(d), np.empty(d), np.empty(d)
-        S, DA = S[::-1], DA[::-1]
-        for s_c, s_h, r, da_zr, da_z, da_r, da_c in zip(
-                *_columns(S, d, 0, 1, 2, 3), *_columns(DA, d, 0, 2),
-                *_columns(DA, d, 0, 1, 2, 3)):
-            add(dh, da_c, dh)
-            mul(dh, s_c, da_c)
-            dot(da_c, U_T, d_rh)
-            mul(dh, da_z, da_z)
-            mul(d_rh, da_r, da_r)
-            dot(da_zr, U_zr_T, d_zr)
-            mul(dh, s_h, dh)
-            mul(d_rh, r, d_rh)
-            add(dh, d_rh, dh)
-            add(dh, d_zr, dh)
-            yield dh
-
     def accumulate_grads(self, X: np.ndarray, H_prev: np.ndarray, R: np.ndarray,
                          DA: np.ndarray) -> np.ndarray:
         """Accumulates the whole-sequence gradients of W, U_zr, U and b, from
@@ -197,9 +140,11 @@ def _direction(M: np.ndarray, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _bi_states(cells: tuple[GruCell, GruCell], A: np.ndarray, H: np.ndarray,
                G: np.ndarray) -> None:
-    """`GruCell.states` of both directions at once, on side-by-side rows:
-    every elementwise call covers both, and the gemvs and the products r*h
-    and *z, whose operands interleave, run per direction."""
+    """The forward loop of both directions at once, on side-by-side rows from
+    state H[0]: step t writes its gates into G[t] and its new state into
+    H[t + 1], in place, through row views made once per sequence. Every
+    elementwise call covers both directions, and the gemvs and the products
+    r*h and *z, whose operands interleave, run per direction."""
     d = cells[0].d
     (U_zr_f, U_f), (U_zr_b, U_b) = ((cell.U_zr, cell.U) for cell in cells)
     add, mul, sub, dot, tanh = np.add, np.multiply, np.subtract, np.dot, np.tanh
@@ -233,10 +178,12 @@ def _bi_states(cells: tuple[GruCell, GruCell], A: np.ndarray, H: np.ndarray,
 
 def _bi_grads_back(cells: tuple[GruCell, GruCell], S: np.ndarray,
                    DA: np.ndarray) -> None:
-    """`GruCell.grads_back` of both directions at once, on the rows of
-    `_bi_states`: DA enters with the state gradients [dh_f | dh_b] in its c
-    blocks and `GruCell.slopes`' factors in its z|r blocks. The gemvs and the
-    products da_z and da_r, whose operands interleave, run per direction."""
+    """The backward loop of `_bi_states`, last step first. DA enters with the
+    gradients [dh_f | dh_b] that reach each state from outside the recurrence
+    in its c blocks and `GruCell.slopes`' factors in its z|r blocks; step t
+    reads both and overwrites DA[t] with its pre-activation gradients. The
+    gemvs and the products da_z and da_r, whose operands interleave, run per
+    direction."""
     d = cells[0].d
     (U_T_f, U_zr_T_f), (U_T_b, U_zr_T_b) = ((cell.U.T, cell.U_zr.T) for cell in cells)
     add, mul, dot = np.add, np.multiply, np.dot

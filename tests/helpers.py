@@ -4,9 +4,8 @@ against it, and the complex-step directional derivative; a word lexicon from
 a dict; straight-line numpy references for the word-vector loader, every
 one-node kernel (the mixed embedding, one encoder direction, attention and
 the decoder) and the RMSprop step; an independent reference tag decoder and
-a random sentence maker; the whole model composed from the library's layers,
-and the benchmark's loss, built of the same graph ops as its own; and
-`gru_states`, which drives one `GruCell` through its forward loop.
+a random sentence maker; and the whole model composed from the library's
+layers.
 
 The kernel references read their parameters as plain arrays, a dict of
 dotted name -> array (`arrays`), and share no code with the library. They
@@ -25,7 +24,7 @@ from tripletag.attention import AttnParams, attend
 from tripletag.decoder import DecoderParams, decode_sequence
 from tripletag.embedding import (
     CharVocab, EmbedParams, WordLexicon, WordVectorParseError, mix_embed, segment)
-from tripletag.encoder import BiGruParams, GruCell, encode
+from tripletag.encoder import BiGruParams, encode
 from tripletag.numerics import Tensor
 from tripletag.tagging import HEAD, TAIL, Triple
 
@@ -135,18 +134,6 @@ def reference_gru_sequence(E, p):
         h = (1.0 - z) * h + z * cand
         out.append(h[0].copy())
     return np.array(out)
-
-
-def gru_states(cell: GruCell, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One pass of `cell` over the rows of X from a zero state, through
-    `GruCell.states`: the (n + 1, d) states, H[0] the zero start, and the
-    (n, 3d) gates z|r|c. Raises DimensionError as `GruCell.inputs` does."""
-    A = cell.inputs(X)
-    n, d = X.shape[0], cell.d
-    H, G = np.zeros((n + 1, d)), np.empty((n, 3 * d))
-    for _ in cell.states(A, H, G):
-        pass
-    return H, G
 
 
 def lexicon_of(vectors: dict) -> WordLexicon:
@@ -381,11 +368,3 @@ class Model:
         return decode_sequence(attend(encode(E, self.encoder), self.attention),
                                self.decoder)
 
-
-def cross_entropy(probs, gold):
-    """Mean over characters of -log p(gold tag), composed of graph ops as the
-    benchmark's loss is, so it gives the benchmark's bits."""
-    n, k = probs.shape
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), gold] = 1.0
-    return nm.scale(nm.sum_all(nm.mul(nm.log(probs), Tensor(onehot))), -1.0 / n)

@@ -191,15 +191,6 @@ def test_label_feedback_carries_gradient_across_steps():
             assert np.any(np.abs(block) > 1e-8), (name, gate)
 
 
-def test_full_decoder_gradients_match_finite_differences():
-    rng = np.random.default_rng(9)
-    p = DecoderParams.init(rng, 2, 3, 3, 4)
-    Hstar = rng.uniform(-1, 1, (3, 2))
-    mask = np.cos(np.arange(12)).reshape(3, 4)
-    check_finite_differences(lambda: decode_sequence(Tensor(Hstar), p)[1],
-                             named_tensors(p), mask)
-
-
 @pytest.mark.parametrize("n", [1, 3])
 def test_decoder_input_and_parameter_gradients_match_finite_differences(n):
     rng = np.random.default_rng(10 + n)
