@@ -13,8 +13,9 @@ all n label rows, and a hand-written backpropagation through time. Its one
 forward loop runs, per step, the feedback, the GRU step and the label row;
 its one backward loop runs, last step first, the label row's gradient, the
 GRU step back and the feedback's gradient. Each call has the cheapest form
-the encoder's loops use, and writes in place into rows of whole-sequence
-arrays.
+the encoder's loops use, and a step allocates nothing: it writes in place
+into rows of whole-sequence arrays, the forward step turning its row of
+pre-activations into gates, and its gemvs into scratch vectors.
 """
 
 from __future__ import annotations
@@ -77,31 +78,28 @@ def decode_sequence(h_stars: Tensor,
     ValueError).
     """
     cell = GruCell(p)
-    A = cell.inputs(h_stars.data)
+    G = cell.inputs(h_stars.data)  # the pre-activations, overwritten by the gates
     n, d, tau = h_stars.shape[0], cell.d, p.label_width
     U_zr, U, V = cell.U_zr, cell.U, p.V.data
     W_T, b_T, W_Y = p.W_T.data, p.b_T.data[0], p.W_Y.data
     H = np.zeros((n + 1, d))  # H[t], T[t] are what step t reads
     T = np.zeros((n + 1, tau))
-    G = np.empty((n, 3 * d))
-    feedback = np.empty(3 * d)
+    feedback, hU_zr, rh, rhU = np.empty(3 * d), np.empty(2 * d), np.empty(d), np.empty(d)
     add, mul, sub, dot, tanh = np.add, np.multiply, np.subtract, np.dot, np.tanh
     half, one = np.array(0.5), np.array(1.0)  # cheaper operands than floats
-    rh = np.empty(d)  # r*h of the current step
-    for a, a_zr, a_c, t_in, t_out, h, h_new, zr, z, r, c in zip(
-            A, *_columns(A, d, 0, 2, 3), T, T[1:], H, H[1:], *_columns(G, d, 0, 2),
-            *_columns(G, d, 0, 1, 2, 3)):
+    for g, t_in, t_out, h, h_new, zr, z, r, c in zip(
+            G, T, T[1:], H, H[1:], *_columns(G, d, 0, 2), *_columns(G, d, 0, 1, 2, 3)):
         dot(t_in, V, feedback)
-        add(a, feedback, a)
-        dot(h, U_zr, zr)
-        add(zr, a_zr, zr)
+        add(g, feedback, g)
+        dot(h, U_zr, hU_zr)
+        add(zr, hU_zr, zr)
         mul(zr, half, zr)
         tanh(zr, zr)
         add(zr, one, zr)
         mul(zr, half, zr)  # sigmoid, computed via tanh for stability on large |x|
         mul(r, h, rh)
-        dot(rh, U, c)
-        add(c, a_c, c)
+        dot(rh, U, rhU)
+        add(c, rhU, c)
         tanh(c, c)
         sub(c, h, h_new)
         mul(h_new, z, h_new)

@@ -8,12 +8,12 @@ their per-position outputs are concatenated.
 `encode` is one autodiff node with a hand-written backpropagation through
 time. `GruCell` is one direction's numpy cell, its input projections one
 matmul and its weight gradients whole-sequence products; the encoder and the
-decoder share it, and each writes its own step loops. Each recurrent step
-writes in place into rows of whole-sequence arrays, every call in its
-cheapest form: positional outputs, ufuncs bound to local names, the sigmoid's
-constants as 0-d arrays. `encode` runs both directions side by side, in one
-forward loop and one backward loop, so that every elementwise call covers
-both.
+decoder share it, and each writes its own step loops. A recurrent step
+allocates nothing: it writes in place into rows of whole-sequence arrays
+(a forward step turns its row of pre-activations into gates) and into
+scratch vectors, every call in its cheapest form: positional outputs, ufuncs
+bound to local names, the sigmoid's constants as 0-d arrays. `encode` runs
+both directions side by side, in one forward loop and one backward loop.
 """
 
 from __future__ import annotations
@@ -138,37 +138,35 @@ def _direction(M: np.ndarray, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return M[:, 2 * k * d : 2 * (k + 1) * d], M[:, (4 + k) * d : (5 + k) * d]
 
 
-def _bi_states(cells: tuple[GruCell, GruCell], A: np.ndarray, H: np.ndarray,
-               G: np.ndarray) -> None:
+def _bi_states(cells: tuple[GruCell, GruCell], H: np.ndarray, G: np.ndarray) -> None:
     """The forward loop of both directions at once, on side-by-side rows from
-    state H[0]: step t writes its gates into G[t] and its new state into
-    H[t + 1], in place, through row views made once per sequence. Every
-    elementwise call covers both directions, and the gemvs and the products
-    r*h and *z, whose operands interleave, run per direction."""
+    state H[0]. G enters holding the input pre-activations; step t overwrites
+    G[t] with its gates and writes its new state into H[t + 1], through row
+    views made once per sequence, and one add folds each block's gemvs, done
+    into scratch vectors, into G[t]. Every elementwise call covers both
+    directions; the gemvs and the products r*h and *z run per direction."""
     d = cells[0].d
     (U_zr_f, U_f), (U_zr_b, U_b) = ((cell.U_zr, cell.U) for cell in cells)
     add, mul, sub, dot, tanh = np.add, np.multiply, np.subtract, np.dot, np.tanh
     half, one = np.array(0.5), np.array(1.0)
-    rh = np.empty(2 * d)
-    rh_f, rh_b = rh[:d], rh[d:]
-    for (a_zr, a_c, h, h_f, h_b, h_new, h_new_f, h_new_b, zr, zr_f, zr_b,
-         z_f, r_f, z_b, r_b, c, c_f, c_b) in zip(
-            *_columns(A, d, 0, 4, 6), H, *_columns(H, d, 0, 1, 2),
-            H[1:], *_columns(H[1:], d, 0, 1, 2), G[:, : 4 * d],
-            *_columns(G, d, 0, 2, 4), *_columns(G, d, 0, 1, 2, 3, 4),
-            G[:, 4 * d :], *_columns(G, d, 4, 5, 6)):
-        dot(h_f, U_zr_f, zr_f)
-        dot(h_b, U_zr_b, zr_b)
-        add(zr, a_zr, zr)
+    rh, hU_zr, rhU = np.empty(2 * d), np.empty(4 * d), np.empty(2 * d)
+    rh_f, rh_b, hU_zr_f, hU_zr_b, rhU_f, rhU_b = (
+        rh[:d], rh[d:], hU_zr[: 2 * d], hU_zr[2 * d :], rhU[:d], rhU[d:])
+    for (h, h_f, h_b, h_new, h_new_f, h_new_b, zr, z_f, r_f, z_b, r_b, c) in zip(
+            H, *_columns(H, d, 0, 1, 2), H[1:], *_columns(H[1:], d, 0, 1, 2),
+            G[:, : 4 * d], *_columns(G, d, 0, 1, 2, 3, 4), G[:, 4 * d :]):
+        dot(h_f, U_zr_f, hU_zr_f)
+        dot(h_b, U_zr_b, hU_zr_b)
+        add(zr, hU_zr, zr)
         mul(zr, half, zr)
         tanh(zr, zr)
         add(zr, one, zr)
         mul(zr, half, zr)
         mul(r_f, h_f, rh_f)
         mul(r_b, h_b, rh_b)
-        dot(rh_f, U_f, c_f)
-        dot(rh_b, U_b, c_b)
-        add(c, a_c, c)
+        dot(rh_f, U_f, rhU_f)
+        dot(rh_b, U_b, rhU_b)
+        add(c, rhU, c)
         tanh(c, c)
         sub(c, h, h_new)
         mul(h_new_f, z_f, h_new_f)
@@ -217,18 +215,18 @@ def encode(E: Tensor, p: BiGruParams) -> Tensor:
 
     The backward pass runs over a reversed copy of the rows and its states
     are reversed back. The two directions run side by side: rows of H are
-    [h_f | h_b], and rows of the (n, 6d) pre-activations, gates and their
-    gradients are [z_f r_f | z_b r_b | c_f | c_b]. An empty E or a width
+    [h_f | h_b], and rows of the (n, 6d) pre-activations (then gates) and
+    their gradients are [z_f r_f | z_b r_b | c_f | c_b]. An empty E or a width
     that does not match the input maps raises DimensionError (a ValueError).
     """
     cells = GruCell(p.forward), GruCell(p.backward)
     X = E.data, E.data[::-1].copy()
     n, d = E.shape[0], cells[0].d
-    A, G, H = np.empty((n, 6 * d)), np.empty((n, 6 * d)), np.zeros((n + 1, 2 * d))
+    G, H = np.empty((n, 6 * d)), np.zeros((n + 1, 2 * d))
     for k, (cell, x) in enumerate(zip(cells, X)):
-        a, (a_zr, a_c) = cell.inputs(x), _direction(A, d, k)
+        a, (a_zr, a_c) = cell.inputs(x), _direction(G, d, k)
         a_zr[...], a_c[...] = a[:, : 2 * d], a[:, 2 * d :]
-    _bi_states(cells, A, H, G)
+    _bi_states(cells, H, G)
 
     def backward(g: np.ndarray) -> None:
         DA = np.empty((n, 6 * d))

@@ -19,7 +19,7 @@ sums and the row softmax have no graph op: the kernels call numpy directly.
 
 Parameters' data and gradients and RMSprop accumulators are ``mapped_zeros``
 arrays, which take memory only once written: predict-only use never pays for
-a gradient or an accumulator.
+a gradient or an accumulator. ``uniform_init`` draws in place, with no copy.
 
 Conventions: tensors are 2-D; "vectors" are row vectors of shape (1, d).
 Gradients accumulate additively; callers zero them between steps.
@@ -250,16 +250,9 @@ def rmsprop_step(theta: Tensor, state: RmspropState) -> None:
 
 
 def parameter(data) -> Tensor:
-    """A trainable tensor holding a copy of `data`, with that copy and a zero
-    gradient each from `mapped_zeros`, so each starts on a page boundary and
-    hence on a 64-byte one. Where the heap places a weight matrix sets the
-    speed of a gemv against it (at d = 100, up to ~1.5x slower off a 64-byte
-    boundary, for the same bits), so no parameter is left to heap luck."""
-    values = Tensor(data).data
-    t = Tensor(mapped_zeros(values.shape))
-    t.data[...] = values
-    t.requires_grad = True
-    t.grad = mapped_zeros(values.shape)
+    """A trainable tensor holding a copy of `data`, in `zeros_init`'s arrays."""
+    t = zeros_init(*Tensor(data).shape)
+    t.data[...] = data
     return t
 
 
@@ -275,10 +268,21 @@ def mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
-    """Trainable tensor, uniform in +-sqrt(6/(rows+cols)) (fan-based scaling)."""
+    """Trainable tensor, uniform in +-sqrt(6/(rows+cols)) (fan-based scaling),
+    drawn in place with the stream and bits of `rng.uniform(-limit, limit)`."""
     limit = np.sqrt(6.0 / (rows + cols))
-    return parameter(rng.uniform(-limit, limit, size=(rows, cols)))
+    t = zeros_init(rows, cols)
+    rng.random(out=t.data)  # u, then low + range * u as rng.uniform computes it
+    t.data *= 2 * limit
+    t.data += -limit
+    return t
 
 
 def zeros_init(rows: int, cols: int) -> Tensor:
-    return parameter(np.zeros((rows, cols)))
+    """A trainable zero tensor, its data and gradient each `mapped_zeros`, so
+    each starts on a page boundary: where the heap places a weight matrix sets
+    the speed of a gemv against it (at d = 100, up to ~1.5x slower off a
+    64-byte boundary, for the same bits), so no parameter is left to heap luck."""
+    t = Tensor(mapped_zeros((rows, cols)))
+    t.requires_grad, t.grad = True, mapped_zeros((rows, cols))
+    return t

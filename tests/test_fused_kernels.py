@@ -192,6 +192,25 @@ def test_decoder_is_one_node_above_its_input():
                               p.W_Y, p.b_Y)
 
 
+@pytest.mark.parametrize("n", [1, 7])
+def test_kernels_leave_their_input_bit_identical(n):
+    # the forward loops overwrite a whole-sequence array in place, which must
+    # never be the input's data; the input is 6 wide, the width of encode's
+    # gate rows at d = 1 and of the decoder's at d = 2, so an alias would fit
+    rng = np.random.default_rng(12)
+    kernels = (lambda X: encode(X, BiGruParams.init(rng, 6, 1)),
+               lambda X: attend(X, AttnParams.init(rng, 6)),
+               lambda X: decode_sequence(X, DecoderParams.init(rng, 6, 2, 2, 5))[1])
+    for kernel in kernels:
+        X = Tensor(rng.uniform(-2, 2, (n, 6)), requires_grad=True)
+        before = X.data.copy()
+        out = kernel(X)
+        np.testing.assert_array_equal(X.data, before)
+        nm.backward(weighted(out, rng.uniform(-1, 1, out.shape)))
+        np.testing.assert_array_equal(X.data, before)
+        assert X.grad.any()
+
+
 def test_char_id_outside_char_table_rejected():
     vocab = CharVocab("abc")
     lexicon = lexicon_of({"ab": np.ones(2)})

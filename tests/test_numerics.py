@@ -363,6 +363,31 @@ def test_rmsprop_step_on_few_live_rows_allocates_no_table_sized_array():
     assert np.count_nonzero(theta.data.any(axis=1)) == 3
 
 
+def test_embed_params_init_allocates_no_table_sized_array():
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        p = EmbedParams.init(rng, 5001, 100, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p.char_table.data.nbytes / 4
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("shape", [(5001, 100), (200, 200), (1, 153)])
+def test_uniform_init_gives_rng_uniform_bits_and_stream(seed, shape):
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    t = nm.uniform_init(rng, *shape)
+    limit = np.sqrt(6.0 / sum(shape))
+    np.testing.assert_array_equal(t.data.view(np.int64),
+                                  twin.uniform(-limit, limit, shape).view(np.int64))
+    assert rng.random() == twin.random()
+    assert t.data.ctypes.data % mmap.PAGESIZE == 0
+    assert t.grad.ctypes.data % mmap.PAGESIZE == 0
+    assert t.requires_grad and t.grad.shape == shape and not t.grad.any()
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_every_initial_parameter_is_64_byte_aligned_before_and_after_a_step(seed):
     rng = np.random.default_rng(seed)
