@@ -8,14 +8,17 @@ procedure runs at training and inference (no teacher forcing). A softmax
 over a linear map of T gives the per-character tag distribution.
 
 The whole decoder is one autodiff node, `decode_sequence`: the encoder's
-`GruCell` with the label-feedback term added to its gates, the tag head over
-all n label rows, and a hand-written backpropagation through time. Its one
+GRU cell, through its functions `inputs`, `slopes` and `accumulate_grads`,
+with the label-feedback term added to its gates, the tag head over all n
+label rows, and a hand-written backpropagation through time. Its one
 forward loop runs, per step, the feedback, the GRU step and the label row;
 its one backward loop runs, last step first, the label row's gradient, the
 GRU step back and the feedback's gradient. Each call has the cheapest form
 the encoder's loops use, and a step allocates nothing: it writes in place
 into rows of whole-sequence arrays, the forward step turning its row of
 pre-activations into gates, and its gemvs into scratch vectors.
+`DecoderParams.init` draws each gate block into its columns as
+`GruParams.init` does.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .encoder import GruCell, _columns, packed
+from .encoder import _columns, _gate_blocks, accumulate_grads, inputs, slopes
 from .numerics import Tensor
 
 
@@ -48,16 +51,15 @@ class DecoderParams:
     @classmethod
     def init(cls, rng: np.random.Generator, d_v: int, d_dec: int, tau: int,
              k: int) -> "DecoderParams":
-        u = nm.uniform_init
-        # each (rows, d_dec) block is drawn on its own, with its own fan
-        # limit; per gate W, U, V, gates drawn in r, z, c order
-        r, z, c = ([u(rng, rows, d_dec).data for rows in (d_v, d_dec, tau)]
-                   for _ in range(3))
-        W, U, V = zip(z, r, c)
-        return cls(W=packed(*W), U_zr=packed(*U[:2]), U=packed(U[2]), V=packed(*V),
-                   b=nm.zeros_init(1, 3 * d_dec),
-                   W_T=u(rng, d_dec, tau), b_T=nm.zeros_init(1, tau),
-                   W_Y=u(rng, tau, k), b_Y=nm.zeros_init(1, k))
+        u, z, d = nm.uniform_init, nm.zeros_init, d_dec
+        W, U_zr, U, V = z(d_v, 3 * d), z(d, 2 * d), z(d, d), z(tau, 3 * d)
+        # each (rows, d) block is drawn on its own, with its own fan limit,
+        # and copied into its columns; per gate W, U, V, gates drawn r, z, c
+        gate_z, gate_r, gate_c = _gate_blocks(W, U_zr, U, V)
+        for block in (*gate_r, *gate_z, *gate_c):
+            block[...] = u(rng, *block.shape).data
+        return cls(W=W, U_zr=U_zr, U=U, V=V, b=z(1, 3 * d), W_T=u(rng, d, tau),
+                   b_T=z(1, tau), W_Y=u(rng, tau, k), b_Y=z(1, k))
 
     @property
     def label_width(self) -> int:
@@ -77,10 +79,9 @@ def decode_sequence(h_stars: Tensor,
     empty input or a width that does not match W raises DimensionError (a
     ValueError).
     """
-    cell = GruCell(p)
-    G = cell.inputs(h_stars.data)  # the pre-activations, overwritten by the gates
-    n, d, tau = h_stars.shape[0], cell.d, p.label_width
-    U_zr, U, V = cell.U_zr, cell.U, p.V.data
+    G = inputs(p, h_stars.data)  # the pre-activations, overwritten by the gates
+    n, d, tau = h_stars.shape[0], p.U.shape[0], p.label_width
+    U_zr, U, V = p.U_zr.data, p.U.data, p.V.data
     W_T, b_T, W_Y = p.W_T.data, p.b_T.data[0], p.W_Y.data
     H = np.zeros((n + 1, d))  # H[t], T[t] are what step t reads
     T = np.zeros((n + 1, tau))
@@ -118,7 +119,7 @@ def decode_sequence(h_stars: Tensor,
         DA = np.empty((n, 3 * d))
         dT = np.zeros(tau)  # T_t's gradient through the gates of step t+1
         W_T_T, V_T, U_T, U_zr_T = W_T.T, V.T, U.T, U_zr.T
-        S = cell.slopes(H[:-1], G, DA)[::-1]
+        S = slopes(H[:-1], G, DA, d)[::-1]
         dh, d_rh, d_zr = np.zeros(d), np.empty(d), np.empty(d)  # dh carries across steps
         for dt, g_t, da, da_zr, da_z, da_r, da_c, s_c, s_h, r in zip(
                 DT[::-1], g_T[::-1], DA[::-1], *_columns(DA[::-1], d, 0, 2),
@@ -137,12 +138,11 @@ def decode_sequence(h_stars: Tensor,
             add(dh, d_rh, dh)
             add(dh, d_zr, dh)
             dot(da, V_T, dT)
-        nm.accumulate(h_stars, cell.accumulate_grads(h_stars.data, H[:-1],
-                                                     G[:, d : 2 * d], DA))
+        nm.accumulate(h_stars, accumulate_grads(p, h_stars.data, H[:-1], G[:, d : 2 * d], DA))
         grads = (T[:-1].T @ DA, H[1:].T @ DT, DT.sum(axis=0, keepdims=True))
         for theta, grad in zip((p.V, p.W_T, p.b_T), grads):
             nm.accumulate(theta, grad)
 
-    probs = nm.result(Y, (h_stars, *cell.tensors, p.V, p.W_T, p.b_T, p.W_Y, p.b_Y),
-                      backward)
+    probs = nm.result(Y, (h_stars, p.W, p.U_zr, p.U, p.b, p.V, p.W_T, p.b_T, p.W_Y,
+                          p.b_Y), backward)
     return Y.argmax(axis=1).tolist(), probs

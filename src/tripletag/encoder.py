@@ -6,9 +6,13 @@ Two independent direction passes read the sequence forwards and backwards and
 their per-position outputs are concatenated.
 
 `encode` is one autodiff node with a hand-written backpropagation through
-time. `GruCell` is one direction's numpy cell, its input projections one
-matmul and its weight gradients whole-sequence products; the encoder and the
-decoder share it, and each writes its own step loops. A recurrent step
+time. The encoder and the decoder share three functions of a parameter set,
+each over the whole sequence: `inputs`, the input projections as one
+matmul; `slopes`, the backward loops' per-step factors; and
+`accumulate_grads`, the weight gradients as whole-sequence products. Each
+layer writes its own step loops. `GruParams.init` draws each gate block
+into a mapping of its own and copies it into its columns of the packed
+weights, so set-up makes no heap array of a weight's size. A recurrent step
 allocates nothing: it writes in place into rows of whole-sequence arrays
 (a forward step turns its row of pre-activations into gates) and into
 scratch vectors, every call in its cheapest form: positional outputs, ufuncs
@@ -26,9 +30,18 @@ from . import numerics as nm
 from .numerics import Tensor
 
 
-def packed(*blocks: np.ndarray) -> Tensor:
-    """A trainable tensor of the blocks side by side, in the given order."""
-    return nm.parameter(np.hstack(blocks))
+def _columns(M: np.ndarray, d: int, *bounds: int) -> list[np.ndarray]:
+    """The column views M[:, i*d : j*d] of each consecutive pair of bounds."""
+    return [M[:, i * d : j * d] for i, j in zip(bounds, bounds[1:])]
+
+
+def _gate_blocks(W: Tensor, U_zr: Tensor, U: Tensor,
+                 *more: Tensor) -> list[tuple[np.ndarray, ...]]:
+    """For each gate z, r, c, the column views of its blocks: W's, then
+    U_zr's or U, then each of `more`'s, packed z | r | c as W is."""
+    d = U.shape[0]
+    packed = [_columns(M.data, d, 0, 1, 2, 3) for M in (W, *more)]
+    return list(zip(packed[0], [*_columns(U_zr.data, d, 0, 1, 2), U.data], *packed[1:]))
 
 
 @dataclass
@@ -36,7 +49,15 @@ class GruParams:
     """One direction's weights, packed by gate in z | r | c column order:
     the input map W (m, 3d), the gates' recurrent map U_zr (d, 2d), the
     candidate's recurrent map U (d, d), which reads r*h, and the bias b
-    (1, 3d)."""
+    (1, 3d).
+
+    Per step, with input pre-activations a = x W + b: z|r = sigmoid(a[:2d] +
+    h U_zr), c = tanh(a[2d:] + (r*h) U) and h' = (1 - z) * h + z * c,
+    computed as h + z * (c - h). The step loops that compute it live in the
+    layers, `encode`'s and `decode_sequence`'s; `inputs` and
+    `accumulate_grads` take a `GruParams` or any parameter set with its
+    fields W, U_zr, U and b, such as a `DecoderParams`.
+    """
 
     W: Tensor
     U_zr: Tensor
@@ -45,12 +66,14 @@ class GruParams:
 
     @classmethod
     def init(cls, rng: np.random.Generator, m_in: int, d: int) -> "GruParams":
-        # each (rows, d) block is drawn on its own, with its own fan limit;
-        # per gate W before U, gates in z | r | c order
-        W, U = zip(*([nm.uniform_init(rng, rows, d).data for rows in (m_in, d)]
-                     for _ in range(3)))
-        return cls(W=packed(*W), U_zr=packed(*U[:2]), U=packed(U[2]),
-                   b=nm.zeros_init(1, 3 * d))
+        z = nm.zeros_init
+        W, U_zr, U = z(m_in, 3 * d), z(d, 2 * d), z(d, d)
+        # each (rows, d) block is drawn on its own, with its own fan limit,
+        # and copied into its columns; per gate W before U, gates z, r, c
+        gate_z, gate_r, gate_c = _gate_blocks(W, U_zr, U)
+        for block in (*gate_z, *gate_r, *gate_c):
+            block[...] = nm.uniform_init(rng, *block.shape).data
+        return cls(W=W, U_zr=U_zr, U=U, b=z(1, 3 * d))
 
 
 @dataclass
@@ -64,73 +87,54 @@ class BiGruParams:
                    backward=GruParams.init(rng, m_in, d_enc))
 
 
-def _columns(M: np.ndarray, d: int, *bounds: int) -> list[np.ndarray]:
-    """The column views M[:, i*d : j*d] of each consecutive pair of bounds."""
-    return [M[:, i * d : j * d] for i, j in zip(bounds, bounds[1:])]
+def inputs(p: GruParams, X: np.ndarray) -> np.ndarray:
+    """(n, 3d) input pre-activations of every step, as one matmul. Raises
+    DimensionError (a ValueError) for an empty X or a width that does not
+    match W."""
+    W = p.W.data
+    if X.shape[0] < 1:
+        raise nm.DimensionError("GRU: empty sequence")
+    if X.shape[1] != W.shape[0]:
+        raise nm.DimensionError(
+            f"GRU: input width {X.shape[1]}, weights expect {W.shape[0]}")
+    return X @ W + p.b.data[0]
 
 
-class GruCell:
-    """The GRU cell in numpy, reading a parameter set's packed z | r | c
-    weights as they are stored.
+def slopes(H_prev: np.ndarray, G: np.ndarray, DA: np.ndarray, d: int) -> np.ndarray:
+    """Per-step factors of the backward loops, for all steps at once:
+    writes dh'/da_z and d(r*h)/da_r into DA's z and r blocks, which each
+    step reads before it writes its gradients there, and returns dh'/da_c,
+    dh'/dh through the update, and r. The arrays hold one cell of width d,
+    or two side by side as `encode` lays them out."""
+    n = G.shape[0]
+    k = H_prev.shape[1] // d  # cells side by side
+    Z, R = (G[:, : 2 * k * d].reshape(n, k, 2, d)[:, :, i] for i in (0, 1))
+    s_z, s_r = (DA[:, : 2 * k * d].reshape(n, k, 2, d)[:, :, i] for i in (0, 1))
+    C, H_prev = G[:, 2 * k * d :].reshape(n, k, d), H_prev.reshape(n, k, d)
+    S = np.empty((n, 3, k, d))
+    s_c, s_h, r = S[:, 0], S[:, 1], S[:, 2]
+    # s_z = (c - h) z (1 - z), s_c = z (1 - c*c), s_r = h r (1 - r),
+    # each written in place, with no whole-sequence temporary
+    np.subtract(1.0, Z, s_h)
+    np.multiply(np.multiply(np.subtract(C, H_prev, s_z), Z, s_z), s_h, s_z)
+    np.multiply(Z, np.subtract(1.0, np.multiply(C, C, s_c), s_c), s_c)
+    np.multiply(np.multiply(H_prev, R, s_r), np.subtract(1.0, R, r), s_r)
+    r[...] = R
+    return S.reshape(n, 3 * k * d)
 
-    Per step, with input pre-activations a = x W + b: z|r = sigmoid(a[:2d] +
-    h U_zr), c = tanh(a[2d:] + (r*h) U) and h' = (1 - z) * h + z * c,
-    computed as h + z * (c - h). The step loops that compute it live in the
-    layers, `encode`'s and `decode_sequence`'s. `p` is a `GruParams` or any
-    parameter set with its fields W, U_zr, U and b.
-    """
 
-    def __init__(self, p: GruParams):
-        self.tensors = (p.W, p.U_zr, p.U, p.b)
-        self.W, self.U_zr, self.U = p.W.data, p.U_zr.data, p.U.data
-        self.b = p.b.data[0]
-        self.d = self.U.shape[0]
-
-    def inputs(self, X: np.ndarray) -> np.ndarray:
-        """(n, 3d) input pre-activations of every step, as one matmul. Raises
-        DimensionError (a ValueError) for an empty X or a width that does not
-        match W."""
-        if X.shape[0] < 1:
-            raise nm.DimensionError("GRU: empty sequence")
-        if X.shape[1] != self.W.shape[0]:
-            raise nm.DimensionError(
-                f"GRU: input width {X.shape[1]}, weights expect {self.W.shape[0]}")
-        return X @ self.W + self.b
-
-    def slopes(self, H_prev: np.ndarray, G: np.ndarray, DA: np.ndarray) -> np.ndarray:
-        """Per-step factors of the backward loops, for all steps at once:
-        writes dh'/da_z and d(r*h)/da_r into DA's z and r blocks, which each
-        step reads before it writes its gradients there, and returns dh'/da_c,
-        dh'/dh through the update, and r. The arrays hold one cell, or two
-        side by side as `encode` lays them out."""
-        n, d = G.shape[0], self.d
-        k = H_prev.shape[1] // d  # cells side by side
-        Z, R = (G[:, : 2 * k * d].reshape(n, k, 2, d)[:, :, i] for i in (0, 1))
-        s_z, s_r = (DA[:, : 2 * k * d].reshape(n, k, 2, d)[:, :, i] for i in (0, 1))
-        C, H_prev = G[:, 2 * k * d :].reshape(n, k, d), H_prev.reshape(n, k, d)
-        S = np.empty((n, 3, k, d))
-        s_c, s_h, r = S[:, 0], S[:, 1], S[:, 2]
-        # s_z = (c - h) z (1 - z), s_c = z (1 - c*c), s_r = h r (1 - r),
-        # each written in place, with no whole-sequence temporary
-        np.subtract(1.0, Z, s_h)
-        np.multiply(np.multiply(np.subtract(C, H_prev, s_z), Z, s_z), s_h, s_z)
-        np.multiply(Z, np.subtract(1.0, np.multiply(C, C, s_c), s_c), s_c)
-        np.multiply(np.multiply(H_prev, R, s_r), np.subtract(1.0, R, r), s_r)
-        r[...] = R
-        return S.reshape(n, 3 * k * d)
-
-    def accumulate_grads(self, X: np.ndarray, H_prev: np.ndarray, R: np.ndarray,
-                         DA: np.ndarray) -> np.ndarray:
-        """Accumulates the whole-sequence gradients of W, U_zr, U and b, from
-        the (n, 3d) pre-activation gradients DA, the inputs X, the states
-        H_prev the steps read and their reset gates R; returns the gradient
-        of X."""
-        d = self.d
-        grads = (X.T @ DA, H_prev.T @ DA[:, : 2 * d], (R * H_prev).T @ DA[:, 2 * d :],
-                 DA.sum(axis=0, keepdims=True))
-        for t, g in zip(self.tensors, grads):
-            nm.accumulate(t, g)
-        return DA @ self.W.T
+def accumulate_grads(p: GruParams, X: np.ndarray, H_prev: np.ndarray, R: np.ndarray,
+                     DA: np.ndarray) -> np.ndarray:
+    """Accumulates the whole-sequence gradients of W, U_zr, U and b, from
+    the (n, 3d) pre-activation gradients DA, the inputs X, the states
+    H_prev the steps read and their reset gates R; returns the gradient
+    of X."""
+    d = p.U.shape[0]
+    grads = (X.T @ DA, H_prev.T @ DA[:, : 2 * d], (R * H_prev).T @ DA[:, 2 * d :],
+             DA.sum(axis=0, keepdims=True))
+    for t, g in zip((p.W, p.U_zr, p.U, p.b), grads):
+        nm.accumulate(t, g)
+    return DA @ p.W.data.T
 
 
 def _direction(M: np.ndarray, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,15 +142,15 @@ def _direction(M: np.ndarray, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return M[:, 2 * k * d : 2 * (k + 1) * d], M[:, (4 + k) * d : (5 + k) * d]
 
 
-def _bi_states(cells: tuple[GruCell, GruCell], H: np.ndarray, G: np.ndarray) -> None:
+def _bi_states(p: BiGruParams, H: np.ndarray, G: np.ndarray) -> None:
     """The forward loop of both directions at once, on side-by-side rows from
     state H[0]. G enters holding the input pre-activations; step t overwrites
     G[t] with its gates and writes its new state into H[t + 1], through row
     views made once per sequence, and one add folds each block's gemvs, done
     into scratch vectors, into G[t]. Every elementwise call covers both
     directions; the gemvs and the products r*h and *z run per direction."""
-    d = cells[0].d
-    (U_zr_f, U_f), (U_zr_b, U_b) = ((cell.U_zr, cell.U) for cell in cells)
+    d = p.forward.U.shape[0]
+    (U_zr_f, U_f), (U_zr_b, U_b) = ((q.U_zr.data, q.U.data) for q in (p.forward, p.backward))
     add, mul, sub, dot, tanh = np.add, np.multiply, np.subtract, np.dot, np.tanh
     half, one = np.array(0.5), np.array(1.0)
     rh, hU_zr, rhU = np.empty(2 * d), np.empty(4 * d), np.empty(2 * d)
@@ -174,16 +178,16 @@ def _bi_states(cells: tuple[GruCell, GruCell], H: np.ndarray, G: np.ndarray) -> 
         add(h_new, h, h_new)
 
 
-def _bi_grads_back(cells: tuple[GruCell, GruCell], S: np.ndarray,
-                   DA: np.ndarray) -> None:
+def _bi_grads_back(p: BiGruParams, S: np.ndarray, DA: np.ndarray) -> None:
     """The backward loop of `_bi_states`, last step first. DA enters with the
     gradients [dh_f | dh_b] that reach each state from outside the recurrence
-    in its c blocks and `GruCell.slopes`' factors in its z|r blocks; step t
+    in its c blocks and `slopes`' factors in its z|r blocks; step t
     reads both and overwrites DA[t] with its pre-activation gradients. The
     gemvs and the products da_z and da_r, whose operands interleave, run per
     direction."""
-    d = cells[0].d
-    (U_T_f, U_zr_T_f), (U_T_b, U_zr_T_b) = ((cell.U.T, cell.U_zr.T) for cell in cells)
+    d = p.forward.U.shape[0]
+    (U_T_f, U_zr_T_f), (U_T_b, U_zr_T_b) = (
+        (q.U.data.T, q.U_zr.data.T) for q in (p.forward, p.backward))
     add, mul, dot = np.add, np.multiply, np.dot
     dh, d_rh, d_zr = np.zeros(2 * d), np.empty(2 * d), np.empty(2 * d)
     dh_f, dh_b, d_rh_f, d_rh_b, d_zr_f, d_zr_b = (
@@ -219,24 +223,24 @@ def encode(E: Tensor, p: BiGruParams) -> Tensor:
     their gradients are [z_f r_f | z_b r_b | c_f | c_b]. An empty E or a width
     that does not match the input maps raises DimensionError (a ValueError).
     """
-    cells = GruCell(p.forward), GruCell(p.backward)
+    directions = p.forward, p.backward
     X = E.data, E.data[::-1].copy()
-    n, d = E.shape[0], cells[0].d
+    n, d = E.shape[0], p.forward.U.shape[0]
     G, H = np.empty((n, 6 * d)), np.zeros((n + 1, 2 * d))
-    for k, (cell, x) in enumerate(zip(cells, X)):
-        a, (a_zr, a_c) = cell.inputs(x), _direction(G, d, k)
+    for k, (q, x) in enumerate(zip(directions, X)):
+        a, (a_zr, a_c) = inputs(q, x), _direction(G, d, k)
         a_zr[...], a_c[...] = a[:, : 2 * d], a[:, 2 * d :]
-    _bi_states(cells, H, G)
+    _bi_states(p, H, G)
 
     def backward(g: np.ndarray) -> None:
         DA = np.empty((n, 6 * d))
         DA[:, 4 * d : 5 * d], DA[:, 5 * d :] = g[:, :d], g[::-1, d:]  # [dh_f | dh_b]
-        _bi_grads_back(cells, cells[0].slopes(H[:-1], G, DA), DA)
-        dX = [cell.accumulate_grads(x, H[:-1, k * d : (k + 1) * d],
-                                    _direction(G, d, k)[0][:, d:],
-                                    np.hstack(_direction(DA, d, k)))
-              for k, (cell, x) in enumerate(zip(cells, X))]
+        _bi_grads_back(p, slopes(H[:-1], G, DA, d), DA)
+        dX = [accumulate_grads(q, x, H[:-1, k * d : (k + 1) * d],
+                               _direction(G, d, k)[0][:, d:], np.hstack(_direction(DA, d, k)))
+              for k, (q, x) in enumerate(zip(directions, X))]
         nm.accumulate(E, dX[0] + dX[1][::-1])
 
     return nm.result(np.hstack([H[1:, :d], H[:0:-1, d:]]),
-                     (E, *cells[0].tensors, *cells[1].tensors), backward)
+                     (E, *(t for q in directions for t in (q.W, q.U_zr, q.U, q.b))),
+                     backward)

@@ -17,9 +17,10 @@ The graph ops left, ``mul``, ``log``, ``scale`` and ``sum_all``, are those
 the cross-entropy loss and a staged backward's seeds compose. Products,
 sums and the row softmax have no graph op: the kernels call numpy directly.
 
-Parameters' data and gradients and RMSprop accumulators are ``mapped_zeros``
-arrays, which take memory only once written: predict-only use never pays for
-a gradient or an accumulator. ``uniform_init`` draws in place, with no copy.
+Parameters' data, RMSprop accumulators and the gradient that every
+``Tensor(data, requires_grad=True)`` starts with are ``mapped_zeros`` arrays,
+which take memory only once written: predict-only use never pays for a
+gradient or an accumulator. ``uniform_init`` draws in place, with no copy.
 
 Conventions: tensors are 2-D; "vectors" are row vectors of shape (1, d).
 Gradients accumulate additively; callers zero them between steps.
@@ -47,7 +48,8 @@ class Tensor:
 
     Tensors created by ops carry references to their inputs and a backward
     closure; together these form the computation graph that ``backward``
-    replays in reverse topological order.
+    replays in reverse topological order. A tensor made with
+    ``requires_grad`` gets a zero ``mapped_zeros`` gradient.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -58,7 +60,7 @@ class Tensor:
             raise DimensionError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        self.grad = mapped_zeros(arr.shape) if requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
@@ -249,13 +251,6 @@ def rmsprop_step(theta: Tensor, state: RmspropState) -> None:
     g[rows] = 0.0
 
 
-def parameter(data) -> Tensor:
-    """A trainable tensor holding a copy of `data`, in `zeros_init`'s arrays."""
-    t = zeros_init(*Tensor(data).shape)
-    t.data[...] = data
-    return t
-
-
 def mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
     """A writable float64 zero array in an anonymous mapping of its own: it
     starts on a page boundary, a page takes memory when first written, and
@@ -283,6 +278,4 @@ def zeros_init(rows: int, cols: int) -> Tensor:
     each starts on a page boundary: where the heap places a weight matrix sets
     the speed of a gemv against it (at d = 100, up to ~1.5x slower off a
     64-byte boundary, for the same bits), so no parameter is left to heap luck."""
-    t = Tensor(mapped_zeros((rows, cols)))
-    t.requires_grad, t.grad = True, mapped_zeros((rows, cols))
-    return t
+    return Tensor(mapped_zeros((rows, cols)), requires_grad=True)

@@ -1,6 +1,7 @@
 """tools/ab.py's summary of paired benchmark runs, on canned results: no
 benchmark process is started."""
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -91,3 +92,22 @@ def test_report_has_one_line_per_metric_and_the_failed_counts():
 def test_checkout_paths_must_have_the_same_length(parent, change, ok):
     problem = ab.path_problem(Path(parent), Path(change))
     assert (problem is None) == ok
+
+
+@pytest.mark.parametrize("returncode, stdout, problem", [
+    (0, "", "printed no JSON result"),
+    (0, "# infer_mixed seed=1\nTraceback (most recent call last)\n", "printed no JSON result"),
+    (3, '{"metrics": {}}\n', "exited with 3"),
+])
+def test_run_once_names_command_checkout_and_stderr_when_no_result(
+        monkeypatch, returncode, stdout, problem):
+    def run(args, **kwargs):  # stands in for the benchmark process
+        return subprocess.CompletedProcess(args, returncode, stdout, "x" * 3000 + "stderr tail")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    with pytest.raises(RuntimeError) as raised:
+        ab.run_once(["python3", "perfbench/run.py"], Path("/a/parent"), "infer_mixed", 1, 8.0)
+    message = str(raised.value)
+    assert message.startswith("python3 perfbench/run.py --workload infer_mixed --seed 1")
+    assert " in /a/parent " in message and problem in message
+    assert message.endswith("\n" + "x" * 1989 + "stderr tail")

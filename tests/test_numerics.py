@@ -363,15 +363,21 @@ def test_rmsprop_step_on_few_live_rows_allocates_no_table_sized_array():
     assert np.count_nonzero(theta.data.any(axis=1)) == 3
 
 
-def test_embed_params_init_allocates_no_table_sized_array():
+@pytest.mark.parametrize("init", [
+    lambda rng: EmbedParams.init(rng, 5001, 100, 100),
+    lambda rng: BiGruParams.init(rng, 100, 100),
+    lambda rng: DecoderParams.init(rng, 200, 100, 50, 153),
+], ids=["EmbedParams", "BiGruParams", "DecoderParams"])
+def test_params_init_allocates_no_weight_sized_array(init):
+    # every weight is drawn into a mapping, never through a heap array
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        p = EmbedParams.init(rng, 5001, 100, 100)
+        p = init(rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < p.char_table.data.nbytes / 4
+    assert peak < max(t.data.nbytes for _, t in named_tensors(p)) / 4
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -406,13 +412,14 @@ def test_every_initial_parameter_is_64_byte_aligned_before_and_after_a_step(seed
 
 
 def test_mapped_zeros_is_a_page_aligned_writable_zero_array():
-    z = nm.mapped_zeros((3, 700))
-    assert z.shape == (3, 700) and z.dtype == np.float64
-    assert z.flags.c_contiguous and z.flags.writeable
-    assert z.ctypes.data % mmap.PAGESIZE == 0
-    assert not z.any()
-    z[2, 699] = 1.0
-    assert z.sum() == 1.0
+    # a trainable tensor's gradient is one too, whatever its data
+    for z in (nm.mapped_zeros((3, 700)), Tensor(np.ones((3, 700)), requires_grad=True).grad):
+        assert z.shape == (3, 700) and z.dtype == np.float64
+        assert z.flags.c_contiguous and z.flags.writeable
+        assert z.ctypes.data % mmap.PAGESIZE == 0
+        assert not z.any()
+        z[2, 699] = 1.0
+        assert z.sum() == 1.0
 
 
 def test_mapped_zeros_of_an_empty_shape_is_empty():
@@ -428,9 +435,9 @@ def resident_mib() -> float:
 @pytest.mark.skipif(not Path("/proc/self/statm").exists(),
                     reason="reads resident memory from /proc/self/statm")
 def test_gradient_and_accumulator_take_memory_only_once_written():
-    values = np.random.default_rng(0).uniform(-1, 1, (1024, 1024))  # 8 MiB
+    rng = np.random.default_rng(0)
     before = resident_mib()
-    t = nm.parameter(values)
+    t = nm.uniform_init(rng, 1024, 1024)  # 8 MiB
     with_parameter = resident_mib()
     state = nm.RmspropState(learning_rate=0.01)
     state.accumulator(t)
@@ -448,14 +455,6 @@ def test_tensors_are_2d_and_item_needs_a_scalar():
             Tensor(np.zeros(shape))
     with pytest.raises(nm.DimensionError, match="needs a scalar"):
         Tensor(np.zeros((1, 2))).item()
-
-
-def test_parameter_copies_its_data():
-    data = np.arange(6.0).reshape(2, 3)
-    t = nm.parameter(data)
-    data[0, 0] = 9.0
-    np.testing.assert_array_equal(t.data, np.arange(6.0).reshape(2, 3))
-    assert t.requires_grad and t.grad.shape == (2, 3)
 
 
 def test_determinism_same_seed_same_bits():

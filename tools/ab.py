@@ -49,16 +49,21 @@ def path_problem(parent: Path, change: Path) -> str | None:
 
 def run_once(command: list[str], checkout: Path, workload: str, seed: int,
              seconds: float) -> dict:
-    """One untraced benchmark process in `checkout`; its JSON result line."""
+    """One untraced benchmark process in `checkout`; its JSON result line.
+    Raises RuntimeError, naming the command, the checkout and the tail of
+    its stderr, when it exits non-zero or its last line is not JSON."""
     args = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     # subprocess.run kills and reaps the child when its wait is interrupted,
     # by Ctrl-C as well, so no benchmark process outlives this one
     proc = subprocess.run(args, cwd=checkout, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(args)} in {checkout} exited with "
-                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    try:
+        if proc.returncode == 0:
+            return json.loads(proc.stdout.splitlines()[-1])
+        problem = f"exited with {proc.returncode}"
+    except (IndexError, json.JSONDecodeError):
+        problem = "printed no JSON result as its last line"
+    raise RuntimeError(f"{' '.join(args)} in {checkout} {problem}:\n{proc.stderr[-2000:]}")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
