@@ -23,7 +23,8 @@ which take memory only once written: predict-only use never pays for a
 gradient or an accumulator. ``uniform_init`` draws in place, with no copy.
 
 Conventions: tensors are 2-D; "vectors" are row vectors of shape (1, d).
-Gradients accumulate additively; callers zero them between steps.
+A leaf owns its gradient for life: it accumulates until a caller zeroes it.
+An op output's gradient lives for one backward pass.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class Tensor:
 
     Tensors created by ops carry references to their inputs and a backward
     closure; together these form the computation graph that ``backward``
-    replays in reverse topological order. A tensor made with
-    ``requires_grad`` gets a zero ``mapped_zeros`` gradient.
+    replays in reverse topological order. A ``requires_grad`` leaf owns a
+    zero ``mapped_zeros`` gradient for life; an op output's lives one pass.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -74,10 +75,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        if self.grad is None:
-            accumulate(self, np.zeros_like(self.data))
-        else:
-            self.grad[:] = 0.0
+        self.grad[:] = 0.0
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -163,10 +161,11 @@ def softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(tensor) into .grad of every recorded tensor.
+    """Accumulate d(root)/d(leaf) into .grad of every leaf root depends on.
 
-    root must be a single-element tensor. Gradients add onto whatever is
-    already in the buffers; running twice doubles them.
+    root must be a single-element tensor. A leaf's gradient adds onto its
+    buffer, so running twice doubles it. An op output's gradient lives for
+    one pass: it is taken off the node before the node's closure runs.
     """
     if root.data.size != 1:
         raise DimensionError(f"backward: root must be scalar, got shape {root.shape}")
@@ -191,7 +190,8 @@ def backward(root: Tensor) -> None:
     accumulate(root, np.ones_like(root.data))
     for node in reversed(order):
         if node._backward is not None:
-            node._backward(node.grad)
+            g, node.grad = node.grad, None
+            node._backward(g)
 
 
 class RmspropState:
@@ -230,8 +230,6 @@ def rmsprop_step(theta: Tensor, state: RmspropState) -> None:
     """
     if not theta.requires_grad:
         raise ValueError("rmsprop_step: the tensor does not require grad")
-    if theta.grad is None:
-        theta.zero_grad()
     g = theta.grad
     acc = state.accumulator(theta)
     acc *= RHO

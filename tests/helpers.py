@@ -1,11 +1,10 @@
 """Shared test utilities: the named tensors of a parameter dataclass; the
 finite-difference gradient oracle, the one harness that checks a backward
 against it, and the complex-step directional derivative; a word lexicon from
-a dict; straight-line numpy references for the word-vector loader, every
-one-node kernel (the mixed embedding, one encoder direction, attention and
-the decoder) and the RMSprop step; an independent reference tag decoder and
-a random sentence maker; and the whole model composed from the library's
-layers.
+a dict, and the benchmark's model over it; straight-line numpy references for
+the word-vector loader, every one-node kernel (the mixed embedding, one
+encoder direction, attention and the decoder) and the RMSprop step; and an
+independent reference tag decoder and a random sentence maker.
 
 The kernel references read their parameters as plain arrays, a dict of
 dotted name -> array (`arrays`), and share no code with the library. They
@@ -19,14 +18,15 @@ from typing import Callable
 
 import numpy as np
 
+import pipeline
 from tripletag import numerics as nm
-from tripletag.attention import AttnParams, attend
-from tripletag.decoder import DecoderParams, decode_sequence
+from tripletag.attention import AttnParams
+from tripletag.decoder import DecoderParams
 from tripletag.embedding import (
-    CharVocab, EmbedParams, WordLexicon, WordVectorParseError, mix_embed, segment)
-from tripletag.encoder import BiGruParams, encode
+    CharVocab, EmbedParams, WordLexicon, WordVectorParseError, segment)
+from tripletag.encoder import BiGruParams
 from tripletag.numerics import Tensor
-from tripletag.tagging import HEAD, TAIL, Triple
+from tripletag.tagging import HEAD, TAIL, Triple, build_scheme
 
 
 def named_tensors(p, prefix=""):
@@ -140,6 +140,19 @@ def lexicon_of(vectors: dict) -> WordLexicon:
     """The lexicon of a word -> vector dict, its rows in the dict's order."""
     return WordLexicon(list(vectors), np.stack(
         [np.asarray(v, dtype=np.float64) for v in vectors.values()]))
+
+
+def make_model(rng, chars, lexicon, relations, dims, learning_rate) -> pipeline.Model:
+    """The benchmark's `pipeline.Model` over an in-memory lexicon: its four
+    layers drawn from `rng` in `pipeline.build_model`'s order."""
+    vocab, scheme = CharVocab(chars), build_scheme(relations)
+    embedding = EmbedParams.init(rng, len(vocab), dims.m, lexicon.dim)
+    encoder = BiGruParams.init(rng, dims.m, dims.d_enc)
+    attention = AttnParams.init(rng, 2 * dims.d_enc)
+    decoder = DecoderParams.init(rng, attention.d_k, dims.d_dec, dims.tau, scheme.k)
+    layers = (embedding, encoder, attention, decoder)
+    return pipeline.Model(vocab, lexicon, scheme, *layers, nm.RmspropState(learning_rate),
+                          [t for layer in layers for _, t in named_tensors(layer)])
 
 
 def reference_load_word_vectors(path) -> dict:
@@ -340,31 +353,3 @@ def random_valid_sentence(rng: np.random.Generator, relations,
                               tail=text[t[0]:t[1]], tail_span=t,
                               relation=relations[int(rels[i])]))
     return text, triples
-
-
-@dataclasses.dataclass
-class Model:
-    """The layers composed as the paper stacks them: mix_embed, encode,
-    attend, decode_sequence."""
-
-    vocab: CharVocab
-    lexicon: WordLexicon
-    embedding: EmbedParams
-    encoder: BiGruParams
-    attention: AttnParams
-    decoder: DecoderParams
-
-    @classmethod
-    def init(cls, rng, vocab, lexicon, m, d_enc, d_dec, tau, k) -> "Model":
-        embedding = EmbedParams.init(rng, len(vocab), m, lexicon.dim)
-        encoder = BiGruParams.init(rng, m, d_enc)
-        attention = AttnParams.init(rng, 2 * d_enc)
-        decoder = DecoderParams.init(rng, attention.d_k, d_dec, tau, k)
-        return cls(vocab, lexicon, embedding, encoder, attention, decoder)
-
-    def forward(self, text):
-        """Argmax tag ids and the (n, k) tag probabilities of text."""
-        E = mix_embed(text, self.vocab, self.lexicon, self.embedding)
-        return decode_sequence(attend(encode(E, self.encoder), self.attention),
-                               self.decoder)
-

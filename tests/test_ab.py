@@ -2,13 +2,11 @@
 benchmark process is started."""
 
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-import ab  # noqa: E402
+import ab
 
 DECLARED = {"chars_per_s": {"better": "higher", "bound": 0.25},
             "op_ms_p90": {"better": "lower", "bound": 0.1}}

@@ -4,9 +4,6 @@ values directly, and every input's and parameter's gradient against the
 oracle, the complex-step derivative of the reference along a random
 direction. Also the graph size and the gradient gate the kernels rely on."""
 
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,17 +12,13 @@ from hypothesis import strategies as st
 from helpers import (
     arrays, complex_step, lexicon_of, named_tensors, reference_attend,
     reference_decode_rollout, reference_gru_sequence, reference_mix_embed, weighted)
+from pipeline import graph_nodes  # the benchmark's node count
 from tripletag import numerics as nm
 from tripletag.attention import AttnParams, attend
 from tripletag.decoder import DecoderParams, decode_sequence
 from tripletag.embedding import CharVocab, EmbedParams, mix_embed
 from tripletag.encoder import BiGruParams, encode
 from tripletag.numerics import Tensor
-
-# the benchmark's own node counter, loaded as tools/fingerprint.py loads the
-# benchmark, so these tests check the count the benchmark reports
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from pipeline import graph_nodes  # noqa: E402
 
 ATOL = 1e-12
 GRAD_RTOL = 1e-12
@@ -44,7 +37,7 @@ def assert_gradients_match(out, reference, named, rng):
     """
     w = rng.uniform(-1, 1, out.shape)
     for _, t in named:
-        t.grad = np.zeros_like(t.data)
+        t.zero_grad()
     nm.backward(weighted(out, w))
     x = {name: t.data for name, t in named}
     for name, t in named:

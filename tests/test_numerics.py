@@ -78,13 +78,22 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [[6.0]])
 
     def test_running_twice_doubles(self):
-        x = Tensor([[2.0]], requires_grad=True)
-        for _ in range(2):
-            nm.backward(nm.sum_all(nm.mul(x, x)))
-        np.testing.assert_allclose(x.grad, [[8.0]])
-        x.zero_grad()
-        nm.backward(nm.sum_all(nm.mul(x, x)))
-        np.testing.assert_allclose(x.grad, [[4.0]])
+        # a new graph per run, and one root run twice: an op output's
+        # gradient lives for one pass, so no run adds onto a stale one
+        for same_root in (False, True):
+            x = Tensor([[2.0]], requires_grad=True)
+            square = nm.mul(x, x)
+            root = nm.sum_all(square)
+            for _ in range(2):
+                if not same_root:
+                    square = nm.mul(x, x)
+                    root = nm.sum_all(square)
+                nm.backward(root)
+                assert square.grad is None and root.grad is None
+            np.testing.assert_allclose(x.grad, [[8.0]])
+            x.zero_grad()
+            nm.backward(root)
+            np.testing.assert_allclose(x.grad, [[4.0]])
 
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
