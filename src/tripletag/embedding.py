@@ -121,13 +121,14 @@ def load_word_vectors(path) -> WordLexicon:
     load holds one matrix plus one block. The matrix is one `mapped_zeros`
     array, made after the header with room for the declared count of rows,
     but never for more rows than the file's size can hold. So `path` must
-    name a regular file; anything else (a pipe, a device) raises ValueError.
+    name a regular file; anything else (a pipe, a device, a directory)
+    raises ValueError before it is opened.
     """
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        raise ValueError(f"{path}: not a regular file, so its size cannot "
+                         "bound the lexicon")
     with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        if not stat.S_ISREG(info.st_mode):
-            raise ValueError(f"{path}: not a regular file, so its size cannot "
-                             "bound the lexicon")
         lines = enumerate(_lines(fh), start=1)
         lineno, header = next(lines, (1, b""))
         count, dim = _parse_header(

@@ -90,13 +90,6 @@ class TagScheme:
         role = (i % 2) + 1
         return position, relation, role
 
-    def tag_name(self, tag_id: int) -> str:
-        info = self.tag_info(tag_id)
-        if info is None:
-            return "O"
-        position, relation, role = info
-        return f"{position}-{relation}-{role}"
-
 
 def build_scheme(relations: Sequence[str]) -> TagScheme:
     return TagScheme(tuple(relations))

@@ -1,16 +1,18 @@
 """Shared test utilities: the named tensors of a parameter dataclass; the
 finite-difference gradient oracle, the one harness that checks a backward
 against it, and the complex-step directional derivative; a word lexicon from
-a dict, and the benchmark's model over it; straight-line numpy references for
-the word-vector loader, every one-node kernel (the mixed embedding, one
-encoder direction, attention and the decoder) and the RMSprop step; and an
-independent reference tag decoder and a random sentence maker.
+a dict; straight-line numpy references for the word-vector loader, every
+one-node kernel (the mixed embedding, one encoder direction, attention and
+the decoder) and the RMSprop step; and the tag names of the documented id
+layout, an independent reference tag decoder and a random sentence maker.
 
-The kernel references read their parameters as plain arrays, a dict of
-dotted name -> array (`arrays`), and share no code with the library. They
-stay complex-safe, so `complex_step` differentiates them: with warnings as
-errors, a reference that casts a complex value back to float raises
-ComplexWarning rather than report a zero slope."""
+No reference calls the library code it checks. The kernel references read
+their parameters as plain arrays, a dict of dotted name -> array (`arrays`),
+and the mixed embedding's reference reads its words from a word -> vector
+dict and segments them itself. They stay complex-safe, so `complex_step`
+differentiates them: with warnings as errors, a reference that casts a
+complex value back to float raises ComplexWarning rather than report a zero
+slope."""
 
 import dataclasses
 import warnings
@@ -18,15 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-import pipeline
 from tripletag import numerics as nm
-from tripletag.attention import AttnParams
-from tripletag.decoder import DecoderParams
-from tripletag.embedding import (
-    CharVocab, EmbedParams, WordLexicon, WordVectorParseError, segment)
-from tripletag.encoder import BiGruParams
+from tripletag.embedding import WordLexicon, WordVectorParseError
 from tripletag.numerics import Tensor
-from tripletag.tagging import HEAD, TAIL, Triple, build_scheme
+from tripletag.tagging import HEAD, TAIL, Triple
 
 
 def named_tensors(p, prefix=""):
@@ -142,19 +139,6 @@ def lexicon_of(vectors: dict) -> WordLexicon:
         [np.asarray(v, dtype=np.float64) for v in vectors.values()]))
 
 
-def make_model(rng, chars, lexicon, relations, dims, learning_rate) -> pipeline.Model:
-    """The benchmark's `pipeline.Model` over an in-memory lexicon: its four
-    layers drawn from `rng` in `pipeline.build_model`'s order."""
-    vocab, scheme = CharVocab(chars), build_scheme(relations)
-    embedding = EmbedParams.init(rng, len(vocab), dims.m, lexicon.dim)
-    encoder = BiGruParams.init(rng, dims.m, dims.d_enc)
-    attention = AttnParams.init(rng, 2 * dims.d_enc)
-    decoder = DecoderParams.init(rng, attention.d_k, dims.d_dec, dims.tau, scheme.k)
-    layers = (embedding, encoder, attention, decoder)
-    return pipeline.Model(vocab, lexicon, scheme, *layers, nm.RmspropState(learning_rate),
-                          [t for layer in layers for _, t in named_tensors(layer)])
-
-
 def reference_load_word_vectors(path) -> dict:
     """The vector-file loader as one straight loop: text-mode UTF-8, one line
     and one `float` per value at a time, each row checked as it is read.
@@ -207,19 +191,19 @@ def reference_load_word_vectors(path) -> dict:
     return vectors
 
 
-def word_matrix(text, lexicon):
-    """(n, d_w) rows: each character's segment's word vector, or zeros."""
-    rows = []
-    for seg in segment(text, lexicon):
-        vec = lexicon.get(seg.word)
-        rows += [np.zeros(lexicon.dim) if vec is None else vec] * seg.length
-    return np.array(rows)
-
-
-def reference_mix_embed(text, vocab, lexicon, p):
+def reference_mix_embed(text, vocab, vectors, p):
     """Straight-line numpy mixed embedding, one character at a time; p maps
-    char_table and projection to arrays."""
-    words = word_matrix(text, lexicon)
+    char_table and projection to arrays. The text is cut by forward maximum
+    matching over the keys of the word -> vector dict `vectors`: at each
+    position the longest key that starts there, else one character, and a
+    character outside every key gets a zero word vector."""
+    zeros = np.zeros(p["projection"].shape[0])
+    words, i = [], 0
+    while i < len(text):
+        length = next((k for k in range(len(text) - i, 1, -1)
+                       if text[i : i + k] in vectors), 1)
+        words += [vectors.get(text[i : i + length], zeros)] * length
+        i += length
     return np.array([p["char_table"][vocab.id_of(c)] + words[i] @ p["projection"]
                      for i, c in enumerate(text)])
 
@@ -264,12 +248,20 @@ def reference_rmsprop(theta, acc, grad, learning_rate):
     return theta, acc
 
 
+def tag_name(scheme, tag):
+    """A tag id's name, spelled from the documented layout: "O" at id 0, then
+    "<position>-<relation>-<role>" for positions B, I, E, S, each over the
+    scheme's relations in order, each over roles 1 (head) and 2 (tail)."""
+    return (["O"] + [f"{position}-{relation}-{role}" for position in "BIES"
+                     for relation in scheme.relations for role in (1, 2)])[tag]
+
+
 def reference_decode(tags, text, scheme):
     """Brute-force reference: enumerate all well-formed candidate spans by tag
     name, select them leftmost-greedily, then pair via an explicit distance
     table. Kept deliberately separate from the production scan."""
     n = len(tags)
-    names = [scheme.tag_name(t) for t in tags]
+    names = [tag_name(scheme, t) for t in tags]
     cands = []  # (start, end, relation, role), increasing (start, end)
     for s in range(n):
         for e in range(s + 1, n + 1):

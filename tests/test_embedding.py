@@ -1,7 +1,9 @@
+import os
 import re
 import tempfile
 import tracemalloc
 import warnings
+from concurrent import futures
 from pathlib import Path
 from unittest import mock
 
@@ -192,9 +194,19 @@ class TestLoadWordVectors:
         np.testing.assert_array_equal(lx.get("dup"), [2, 2])
         np.testing.assert_array_equal(lx.get(f"w{len(rows) - 1}"), [len(rows) - 1, 0])
 
-    def test_a_file_that_is_not_regular_is_rejected(self):
-        with pytest.raises(ValueError, match="not a regular file"):
-            load_word_vectors("/dev/null")
+    def test_a_file_that_is_not_regular_is_rejected(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        with futures.ThreadPoolExecutor(max_workers=1) as pool:
+            for path in ("/dev/null", fifo, tmp_path):
+                load = pool.submit(load_word_vectors, path)
+                try:
+                    raised = load.exception(timeout=1)
+                except futures.TimeoutError:  # opening the pipe waits for a writer
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                    pytest.fail(f"{path}: the load blocked")
+                assert isinstance(raised, ValueError), (path, raised)
+                assert "not a regular file" in str(raised)
 
 
 def loaded_rows(path) -> dict:

@@ -99,10 +99,10 @@ def test_mix_embed_matches_reference_and_oracle(text, words, m, d_w, seed):
     rng = np.random.default_rng(seed)
     vocab = CharVocab("abc")
     text += text[0] + "x"  # a repeated character and an out-of-vocabulary one
-    lexicon = lexicon_of({w: rng.uniform(-1, 1, d_w) for w in sorted(words)})
+    vectors = {w: rng.uniform(-1, 1, d_w) for w in sorted(words)}
     p = EmbedParams.init(rng, len(vocab), m, d_w)
-    args = (text, vocab, lexicon)
-    out = mix_embed(*args, p)
+    out = mix_embed(text, vocab, lexicon_of(vectors), p)
+    args = (text, vocab, vectors)
     np.testing.assert_allclose(out.data, reference_mix_embed(*args, arrays(p)),
                                rtol=0, atol=ATOL)
     assert_gradients_match(out, lambda x: reference_mix_embed(*args, x),

@@ -7,8 +7,9 @@ bit-identical runs."""
 import numpy as np
 import pytest
 
+import corpus as bench_corpus
 import pipeline
-from helpers import lexicon_of, make_model, random_valid_sentence
+from helpers import random_valid_sentence
 from tripletag.tagging import score
 
 RELATIONS = ["r0", "r1", "r2"]
@@ -18,17 +19,18 @@ LEARNING_RATE = 3e-3
 MAX_EPOCHS, SCORE_EVERY = 300, 10
 
 
-def corpus_and_model(seed):
-    """The corpus (text, gold triples) and a fresh model: the lexicon holds
-    each text's 2-character words at even offsets."""
+def corpus_and_model(seed, vectors):
+    """The corpus (text, gold triples) and a fresh model, set up as the
+    benchmark sets up its own: the vector file `vectors` is written with each
+    text's 2-character words at even offsets, then loaded by `build_model`."""
     rng = np.random.default_rng(seed)
     corpus = [random_valid_sentence(rng, RELATIONS, min_len=12, max_len=30)
               for _ in range(N_SENTENCES)]
     words = dict.fromkeys(text[i : i + 2] for text, _ in corpus
                           for i in range(0, len(text) - 1, 2))
-    lexicon = lexicon_of({w: rng.uniform(-1, 1, DIM) for w in words})
-    model = make_model(rng, "".join(text for text, _ in corpus), lexicon, RELATIONS,
-                       DIMS, LEARNING_RATE)
+    bench_corpus.write_word_vectors(vectors, seed, list(words), DIM)
+    model = pipeline.build_model(vectors, list("".join(text for text, _ in corpus)),
+                                 RELATIONS, DIMS, seed, LEARNING_RATE)
     return corpus, model
 
 
@@ -48,8 +50,8 @@ def f1(corpus, model):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_overfits_a_small_corpus_to_f1_one(seed):
-    corpus, model = corpus_and_model(seed)
+def test_overfits_a_small_corpus_to_f1_one(seed, tmp_path):
+    corpus, model = corpus_and_model(seed, tmp_path / "vectors.txt")
     history = []
     for _ in range(MAX_EPOCHS // SCORE_EVERY):
         train(corpus, model, SCORE_EVERY)
@@ -59,6 +61,7 @@ def test_overfits_a_small_corpus_to_f1_one(seed):
     assert history[-1] == 1.0, f"F1 every {SCORE_EVERY} epochs: {history}"
 
 
-def test_a_fixed_seed_gives_bit_identical_losses():
-    first, second = (train(*corpus_and_model(0), 10) for _ in range(2))
+def test_a_fixed_seed_gives_bit_identical_losses(tmp_path):
+    first, second = (train(*corpus_and_model(0, tmp_path / "vectors.txt"), 10)
+                     for _ in range(2))
     assert [x.hex() for x in first] == [x.hex() for x in second]

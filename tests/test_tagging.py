@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_valid_sentence, reference_decode
+from helpers import random_valid_sentence, reference_decode, tag_name
 from tripletag import tagging
 from tripletag.tagging import (
     TagEncodeError, Triple, build_scheme, decode_triples, encode_tags, score)
@@ -22,8 +22,8 @@ class TestScheme:
     def test_deterministic_ids(self):
         rels = ["alpha", "beta", "gamma"]
         a, b = build_scheme(rels), build_scheme(rels)
-        assert [a.tag_name(i) for i in range(a.k)] == \
-               [b.tag_name(i) for i in range(b.k)]
+        assert [a.tag_info(i) for i in range(a.k)] == \
+               [b.tag_info(i) for i in range(b.k)]
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -63,6 +63,14 @@ class TestScheme:
         assert sorted(ids) == list(range(1, scheme.k))
         assert [scheme.tag_info(i) for i in ids] == fields
 
+    def test_ids_follow_the_documented_layout(self):
+        scheme = build_scheme(["a", "b", "c"])
+        for p, position in enumerate(tagging.POSITIONS):
+            for r, relation in enumerate(scheme.relations):
+                for role in (tagging.HEAD, tagging.TAIL):
+                    assert scheme.tag_id(position, relation, role) == \
+                           1 + p * 2 * len(scheme.relations) + r * 2 + (role - 1)
+
     @pytest.mark.parametrize("position, relation, role, message", [
         ("B", "a", 3, "role 3"),
         ("B", "a", 0, "role 0"),
@@ -90,13 +98,13 @@ class TestEncode:
         scheme = build_scheme(["r"])
         t = Triple("ab", (0, 2), "d", (3, 4), "r")
         tags = encode_tags(5, [t], scheme)
-        names = [scheme.tag_name(x) for x in tags]
+        names = [tag_name(scheme, x) for x in tags]
         assert names == ["B-r-1", "E-r-1", "O", "S-r-2", "O"]
 
     def test_three_char_span_uses_bie(self):
         scheme = build_scheme(["r"])
         t = Triple("abc", (0, 3), "e", (4, 5), "r")
-        names = [scheme.tag_name(x) for x in encode_tags(5, [t], scheme)]
+        names = [tag_name(scheme, x) for x in encode_tags(5, [t], scheme)]
         assert names == ["B-r-1", "I-r-1", "E-r-1", "O", "S-r-2"]
 
     def test_overlap_error_names_colliders(self):
