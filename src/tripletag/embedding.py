@@ -7,10 +7,15 @@ sum of the two, so the word lexicon and its projection are required. Words
 come from a plain-text vector file and are never updated; characters outside
 the vocabulary map to the reserved UNK id 0.
 
-`load_word_vectors` parses the file in blocks and copies each block straight
+`load_word_vectors` parses the file in blocks and writes each block straight
 into the rows of the lexicon's one matrix, a `numerics.mapped_zeros` array,
 so a load peaks at one matrix plus one block, not at two copies of the
-lexicon, and rows it never writes take no memory.
+lexicon, and rows it never writes take no memory. The matrix holds each
+value as a float32 code, half the bytes of a float64, as long as every
+value read comes back from its code bit for bit: six-decimal values, as
+pretrained files carry them, do. At the first value that does not, the
+matrix becomes float64. Every value the model computes with is the float64
+the file's text names either way.
 
 `mix_embed` is one autodiff node: a gather of character-table rows plus one
 matmul with the projection, whose backward touches the gathered rows only.
@@ -63,17 +68,29 @@ class CharVocab:
 class WordLexicon:
     """word -> frozen pretrained vector, all of one dimension and finite.
 
-    The vectors are the rows of one read-only (words x dim) matrix, row i
-    for words[i], and `get` returns a read-only view of a row. The lexicon
-    keeps `matrix` itself, not a copy, and marks it read-only.
+    The vectors are the rows of one read-only (words x dim) matrix of
+    float64 values, row i for words[i], and `get` returns a read-only row.
+    The lexicon keeps `matrix` itself, not a copy, and marks it read-only.
+    (`load_word_vectors` may store the rows as float32 codes of their
+    values instead; `get` and `vectors` return the float64 values alike.)
     """
 
     def __init__(self, words: Sequence[str], matrix: np.ndarray):
+        self._keep(words, np.asarray(matrix, dtype=np.float64))
+
+    @classmethod
+    def _of_storage(cls, words: Sequence[str], stored: np.ndarray) -> "WordLexicon":
+        """The lexicon over a loader's matrix: float64 values, or float32
+        codes that stand for them (`_to_code`)."""
+        lexicon = cls.__new__(cls)
+        lexicon._keep(words, stored)
+        return lexicon
+
+    def _keep(self, words: Sequence[str], matrix: np.ndarray) -> None:
         if not words:
             raise ValueError("lexicon is empty")
         if "" in words:
             raise ValueError("empty-string key")
-        matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or 0 in matrix.shape:
             raise ValueError(
                 f"the matrix must be a non-empty 2-D array, got shape {matrix.shape}")
@@ -99,7 +116,19 @@ class WordLexicon:
 
     def get(self, word: str) -> Optional[np.ndarray]:
         row = self._row.get(word)
-        return None if row is None else self._matrix[row]
+        if row is None:
+            return None
+        vec = self._values(self._matrix[row])
+        vec.flags.writeable = False
+        return vec
+
+    def vectors(self, words: Sequence[str]) -> np.ndarray:
+        """The (len(words), dim) float64 vectors of `words`, each in the
+        lexicon, gathered and decoded at once."""
+        return self._values(self._matrix[[self._row[w] for w in words]])
+
+    def _values(self, stored: np.ndarray) -> np.ndarray:
+        return stored if stored.dtype == np.float64 else _from_code(stored)
 
 
 def load_word_vectors(path) -> WordLexicon:
@@ -117,12 +146,19 @@ def load_word_vectors(path) -> WordLexicon:
     also reads forms `np.loadtxt` rejects, such as "1_0" and non-ASCII
     digits.
 
-    Each accepted block is copied straight into the lexicon's matrix, so a
-    load holds one matrix plus one block. The matrix is one `mapped_zeros`
-    array, made after the header with room for the declared count of rows,
-    but never for more rows than the file's size can hold. So `path` must
-    name a regular file; anything else (a pipe, a device, a directory)
-    raises ValueError before it is opened.
+    Each accepted block is written straight into the lexicon's matrix, so a
+    load holds one float32 code matrix plus one float64 block. The matrix
+    is one `mapped_zeros` array, made after the header with room for the
+    declared count of rows, but never for more rows than the file's size
+    can hold. So `path` must name a regular file; anything else (a pipe, a
+    device, a directory) raises ValueError before it is opened.
+
+    The matrix stores float32 codes (`_to_code`) while every block, or on
+    the line-at-a-time path every line, comes back from its code bit for
+    bit. At the first that does not, the rows stored so far are decoded
+    into a float64 `mapped_zeros` matrix, and the load goes on in float64:
+    a file of other values costs a float64 matrix, plus the float32 one
+    until the switch.
     """
     info = os.stat(path)
     if not stat.S_ISREG(info.st_mode):
@@ -136,18 +172,21 @@ def load_word_vectors(path) -> WordLexicon:
         # a row is at least a word and dim values, each one byte, with a
         # separator before each value, so the file's size bounds the rows
         # however large the header's count or dim
-        matrix = nm.mapped_zeros((min(count, info.st_size // (2 * dim + 1)), dim))
+        matrix = nm.mapped_zeros((min(count, info.st_size // (2 * dim + 1)), dim),
+                                 np.float32)
         rows: dict[str, int] = {}  # word -> matrix row, in first-occurrence order
         rows_seen = 0
         while block := list(islice(lines, BLOCK_LINES)):
             lineno = block[-1][0]
             parsed = _parse_block(block, count - rows_seen, dim)
             if parsed is None:
-                rows_seen = _read_lines(block, rows_seen, count, dim, rows, matrix)
+                rows_seen, matrix = _read_lines(block, rows_seen, count, dim, rows,
+                                                matrix)
                 continue
             numbered_words, values = parsed
             start = len(rows)
             targets = [_row_of(rows, word, n) for n, word in numbered_words]
+            matrix, values = _stored(matrix, values, len(rows))
             if len(rows) - start == len(targets):  # all new: the next rows
                 matrix[start : len(rows)] = values
             else:
@@ -159,7 +198,7 @@ def load_word_vectors(path) -> WordLexicon:
             f"line {lineno}: file ends after {rows_seen} of {count} rows")
     words = list(rows)
     del rows  # freed before the lexicon builds its own word -> row dict
-    return WordLexicon(words, matrix[: len(words)])
+    return WordLexicon._of_storage(words, matrix[: len(words)])
 
 
 def _lines(fh) -> Iterator[bytes]:
@@ -208,9 +247,11 @@ def _parse_block(block: list[tuple[int, bytes]], room: int,
 
 
 def _read_lines(block: list[tuple[int, bytes]], rows_seen: int, count: int,
-                dim: int, rows: dict[str, int], matrix: np.ndarray) -> int:
+                dim: int, rows: dict[str, int],
+                matrix: np.ndarray) -> tuple[int, np.ndarray]:
     """Write a block of (line number, line) into `matrix` one line at a time,
-    raising for the first bad line; return the rows seen so far."""
+    raising for the first bad line; return the rows seen so far and the
+    matrix now in use (`_stored`)."""
     for lineno, raw in block:
         line = _decode(lineno, raw)
         if not line.strip():
@@ -231,8 +272,49 @@ def _read_lines(block: list[tuple[int, bytes]], rows_seen: int, count: int,
                 f"line {lineno}: non-numeric vector component") from None
         if not np.isfinite(vec).all():
             raise WordVectorParseError(f"line {lineno}: non-finite vector component")
-        matrix[_row_of(rows, parts[0], lineno)] = vec
-    return rows_seen
+        row = _row_of(rows, parts[0], lineno)
+        matrix, vec = _stored(matrix, vec, len(rows))
+        matrix[row] = vec
+    return rows_seen, matrix
+
+
+def _stored(matrix: np.ndarray, values: np.ndarray,
+            used: int) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix to store `values` in, and the values as it stores them:
+    their float32 code while `matrix` holds codes and every value comes back
+    from it; else the float64 values, in a float64 `mapped_zeros` matrix
+    made at the first miss, which takes the values of `matrix`'s first
+    `used` rows."""
+    if matrix.dtype == np.float64:
+        return matrix, values
+    code = _to_code(values)
+    if code is not None:
+        return matrix, code
+    wide = nm.mapped_zeros(matrix.shape)
+    _from_code(matrix[:used], out=wide[:used])
+    return wide, values
+
+
+def _to_code(values: np.ndarray) -> Optional[np.ndarray]:
+    """The float32 code of finite float64 values, or None when a value does
+    not come back from it (`_from_code`) bit for bit. Every value of at most
+    six decimals and magnitude below 8 does: its code is within half a
+    float32 ulp, at most 2**-22, of k * 1e-6 for an integer k, so rint
+    recovers k from code * 1e6, and the correctly rounded k / 1e6 is the
+    value's own bits, as `float` reads them; -0.0 codes as -0.0."""
+    with np.errstate(over="ignore"):  # a value beyond float32 codes as inf: a miss
+        code = values.astype(np.float32)
+    same = _from_code(code).view(np.int64) == values.view(np.int64)
+    return code if same.all() else None
+
+
+def _from_code(code: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The float64 values of a float32 code, rint(code * 1e6) / 1e6, written
+    into `out` when it is given."""
+    out = np.multiply(code, 1e6, out=out, dtype=np.float64)
+    np.rint(out, out=out)
+    out /= 1e6
+    return out
 
 
 def _row_of(rows: dict[str, int], word: str, lineno: int) -> int:
@@ -321,11 +403,10 @@ def mix_embed(text: str, vocab: CharVocab, lexicon: WordLexicon,
     char_table, or a lexicon width other than projection's row count, raises
     DimensionError (a ValueError).
     """
+    hits = [seg for seg in segment(text, lexicon) if seg.word in lexicon]
     word_mat = np.zeros((len(text), lexicon.dim))
-    for seg in segment(text, lexicon):
-        vec = lexicon.get(seg.word)
-        if vec is not None:
-            word_mat[seg.start : seg.start + seg.length, :] = vec
+    for seg, vec in zip(hits, lexicon.vectors([seg.word for seg in hits])):
+        word_mat[seg.start : seg.start + seg.length, :] = vec
     ids = vocab.ids(text)
     table, projection = params.char_table, params.projection
     if max(ids) >= table.shape[0]:

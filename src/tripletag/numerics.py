@@ -75,7 +75,11 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        self.grad[:] = 0.0
+        """Zero the gradient; a tensor without requires_grad raises ValueError."""
+        if not self.requires_grad:
+            raise ValueError("zero_grad: the tensor does not require grad")
+        if self.grad is not None:  # an op output's, between passes
+            self.grad[:] = 0.0
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -249,15 +253,15 @@ def rmsprop_step(theta: Tensor, state: RmspropState) -> None:
     g[rows] = 0.0
 
 
-def mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
-    """A writable float64 zero array in an anonymous mapping of its own: it
-    starts on a page boundary, a page takes memory when first written, and
-    freeing the array unmaps it (glibc keeps up to twice the size of a large
-    freed heap block held)."""
-    nbytes = math.prod(shape) * 8
+def mapped_zeros(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A writable zero array in an anonymous mapping of its own: it starts on
+    a page boundary, a page takes memory when first written, and freeing the
+    array unmaps it (glibc keeps up to twice the size of a large freed heap
+    block held)."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     if nbytes == 0:
-        return np.zeros(shape)
-    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.float64).reshape(shape)
+        return np.zeros(shape, dtype)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
 
 
 def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> Tensor:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 from helpers import (
     check_finite_differences, lexicon_of, named_tensors, reference_load_word_vectors)
 from tripletag import embedding, numerics as nm
@@ -115,10 +116,11 @@ class TestLoadWordVectors:
 
     def test_vectors_are_frozen(self, tmp_path):
         p = tmp_path / "vec.txt"
-        p.write_text("1 2\nw 1 2\n")
-        lx = load_word_vectors(p)
-        with pytest.raises(ValueError):
-            lx.get("w")[0] = 9.0
+        for value in ("2", "0.1234567890123"):  # float32 and float64 storage
+            p.write_text(f"1 2\nw 1 {value}\n")
+            lx = load_word_vectors(p)
+            with pytest.raises(ValueError):
+                lx.get("w")[0] = 9.0
 
     @pytest.mark.parametrize("data, line", [
         ("2 2\n北京 1 2\n大学 3 4\n".encode("gbk"), 2),
@@ -239,7 +241,9 @@ def vector_files(draw):
     repeat, with blank, short, long and bad lines among valid rows, a header
     count near the row count, and at least two blocks."""
     dim = draw(st.integers(1, 3))
-    value = st.one_of(st.floats(-1e3, 1e3).map(repr), st.sampled_from(READABLE))
+    value = st.one_of(st.floats(-1e3, 1e3).map(repr),
+                      st.floats(-10, 10).map(lambda x: f"{x:.6f}"),
+                      st.sampled_from(READABLE))
     sep = st.sampled_from([" ", "\t", "\u3000", " \u3000 "])
 
     def row(n_values, bad=None):
@@ -306,6 +310,98 @@ class TestLoaderMatchesReference:
         error = (WordVectorParseError, "line 1: " + message)
         assert (outcome(loaded_rows, path) == outcome(reference_load_word_vectors, path)
                 == (error, []))
+
+
+def hexes(vector) -> list[str]:
+    return [float(x).hex() for x in vector]
+
+
+def six_decimal_rows(rows: int, dim: int) -> list[list[str]]:
+    values = np.random.default_rng(0).uniform(-8, 8, (rows, dim))
+    return [[f"{x:.6f}" for x in row] for row in values]
+
+
+def write_rows(path, words, rows) -> None:
+    path.write_text(f"{len(words)} {len(rows[0])}\n" + "".join(
+        f"{w} {' '.join(row)}\n" for w, row in zip(words, rows)), encoding="utf-8")
+
+
+class TestCodedStorage:
+    """A lexicon stores six-decimal values as float32 codes, 4 bytes each,
+    and gives back the float64 `float` reads from their text; the first value
+    whose code would not give back its bits switches storage to float64."""
+
+    def test_six_decimal_values_are_stored_in_four_bytes(self, tmp_path):
+        words = [f"w{i}" for i in range(embedding.BLOCK_LINES + 20)]
+        rows = six_decimal_rows(len(words), 6)
+        rows[3] = ["-0.000000", "0.000001", "7.999999", "-7.999999", "-0.000001", "8"]
+        first = embedding.BLOCK_LINES - 1  # a duplicate across the first block edge
+        words[first] = words[first + 5] = "dup"
+        p = tmp_path / "vec.txt"
+        write_rows(p, words, rows)
+        with pytest.warns(UserWarning, match="duplicate word 'dup'"):
+            lx = load_word_vectors(p)
+        assert lx._matrix.dtype == np.float32
+        assert lx._matrix.nbytes == len(lx) * 6 * 4 and len(lx) == len(words) - 1
+        expected = dict(zip(words, rows))  # the last occurrence's values
+        for w, tokens in expected.items():
+            assert hexes(lx.get(w)) == [float(t).hex() for t in tokens], w
+        assert hexes(lx.get("w3"))[0] == "-0x0.0p+0"
+
+    def test_every_six_decimal_value_below_8_comes_back_from_its_code(self):
+        # k / 1e6 is correctly rounded, so it is the float64 `float` reads
+        # from the six-decimal text of k * 1e-6
+        for start in range(-7_999_999, 8_000_000, 1_000_000):
+            values = np.arange(start, min(start + 1_000_000, 8_000_000)) / 1e6
+            assert embedding._to_code(values) is not None, start
+
+    def test_the_benchmarks_vector_file_is_stored_in_four_bytes(self, tmp_path):
+        words = [f"w{i}" for i in range(600)]
+        corpus.write_word_vectors(tmp_path / "vec.txt", 3, words, 100)
+        lx = load_word_vectors(tmp_path / "vec.txt")
+        assert lx._matrix.dtype == np.float32 and lx._matrix.nbytes == 600 * 100 * 4
+
+    @pytest.mark.parametrize("tokens, dtype", [
+        ({10: "0.12345678901234567"}, np.float64),
+        ({7: "1_0", 10: "0.12345678901234567"}, np.float64),
+        ({7: "1_0"}, np.float32),
+        ({10: "1e-320"}, np.float64),
+        ({10: "16.000001"}, np.float64),
+        ({10: "1e39"}, np.float64),
+    ], ids=["17-digits", "slow-path-17-digits", "slow-path-six-decimals",
+            "subnormal", "beyond-8", "beyond-float32"])
+    def test_storage_follows_the_values_and_keeps_their_bits(
+            self, tmp_path, tokens, dtype):
+        # every row lands in the second block, read in one np.loadtxt call,
+        # or, for a "1_0" that np.loadtxt rejects, one line at a time
+        words = [f"w{i}" for i in range(embedding.BLOCK_LINES + 20)]
+        rows = six_decimal_rows(len(words), 4)
+        for offset, token in tokens.items():
+            rows[embedding.BLOCK_LINES + offset][1] = token
+        p = tmp_path / "vec.txt"
+        write_rows(p, words, rows)
+        lx = load_word_vectors(p)
+        assert lx._matrix.dtype == dtype
+        assert lx._matrix.nbytes == len(words) * 4 * np.dtype(dtype).itemsize
+        assert outcome(loaded_rows, p) == outcome(reference_load_word_vectors, p)
+
+    def test_mix_embed_reads_the_values_the_codes_stand_for(self, tmp_path):
+        words = ["北京", "大学", "京大", "生"]
+        rows = six_decimal_rows(len(words), 5)
+        rows[1][2] = "-0.000000"
+        p = tmp_path / "vec.txt"
+        write_rows(p, words, rows)
+        coded = load_word_vectors(p)
+        assert coded._matrix.dtype == np.float32
+        plain = lexicon_of({w: [float(t) for t in row] for w, row in zip(words, rows)})
+        vocab = CharVocab("北京大学生")
+        params = EmbedParams.init(np.random.default_rng(3), len(vocab), 3, 5)
+        for text in ("北京大学", "大学生北京", "学", "北京大学生京大"):
+            out = mix_embed(text, vocab, coded, params).data
+            assert hexes(out.ravel()) == hexes(
+                mix_embed(text, vocab, plain, params).data.ravel()), text
+        assert hexes(coded.vectors(words[::-1]).ravel()) == hexes(
+            plain.vectors(words[::-1]).ravel())
 
 
 class TestWordLexicon:

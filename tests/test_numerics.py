@@ -95,6 +95,18 @@ class TestBackward:
             nm.backward(root)
             np.testing.assert_allclose(x.grad, [[4.0]])
 
+    def test_zero_grad_needs_requires_grad(self):
+        with pytest.raises(ValueError, match="^zero_grad: the tensor does not require grad$"):
+            Tensor([[1.0]]).zero_grad()
+        # an op output's gradient is gone between passes: nothing to zero
+        x = Tensor([[2.0]], requires_grad=True)
+        square = nm.mul(x, x)
+        nm.backward(nm.sum_all(square))
+        square.zero_grad()
+        x.zero_grad()
+        assert square.grad is None
+        np.testing.assert_array_equal(x.grad, [[0.0]])
+
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(nm.DimensionError):
@@ -422,8 +434,11 @@ def test_every_initial_parameter_is_64_byte_aligned_before_and_after_a_step(seed
 
 def test_mapped_zeros_is_a_page_aligned_writable_zero_array():
     # a trainable tensor's gradient is one too, whatever its data
-    for z in (nm.mapped_zeros((3, 700)), Tensor(np.ones((3, 700)), requires_grad=True).grad):
-        assert z.shape == (3, 700) and z.dtype == np.float64
+    for z, dtype in ((nm.mapped_zeros((3, 700)), np.float64),
+                     (Tensor(np.ones((3, 700)), requires_grad=True).grad, np.float64),
+                     (nm.mapped_zeros((3, 700), np.float32), np.float32)):
+        assert z.shape == (3, 700) and z.dtype == dtype
+        assert z.nbytes == 3 * 700 * np.dtype(dtype).itemsize
         assert z.flags.c_contiguous and z.flags.writeable
         assert z.ctypes.data % mmap.PAGESIZE == 0
         assert not z.any()
@@ -432,8 +447,9 @@ def test_mapped_zeros_is_a_page_aligned_writable_zero_array():
 
 
 def test_mapped_zeros_of_an_empty_shape_is_empty():
-    z = nm.mapped_zeros((0, 5))
-    assert z.shape == (0, 5) and z.dtype == np.float64
+    for dtype in (np.float64, np.float32):
+        z = nm.mapped_zeros((0, 5), dtype)
+        assert z.shape == (0, 5) and z.dtype == dtype
 
 
 def resident_mib() -> float:
