@@ -7,13 +7,14 @@ sum of the two, so the word lexicon and its projection are required. Words
 come from a plain-text vector file and are never updated; characters outside
 the vocabulary map to the reserved UNK id 0.
 
-`load_word_vectors` parses the file in blocks and writes each block straight
-into the rows of the lexicon's one matrix, a `numerics.mapped_zeros` array,
-so a load peaks at one matrix plus one block, not at two copies of the
-lexicon, and rows it never writes take no memory. The matrix holds each
+`load_word_vectors`, the one maker of a `WordLexicon`, parses the file in
+blocks, by one `np.loadtxt` call or else line by line, and writes each block
+straight into the rows of the lexicon's one matrix, a `numerics.mapped_zeros`
+array, so a load peaks at one matrix plus one block, not at two copies of
+the lexicon, and rows it never writes take no memory. The matrix holds each
 value as a float32 code, half the bytes of a float64, as long as every
-value read comes back from its code bit for bit: six-decimal values, as
-pretrained files carry them, do. At the first value that does not, the
+block read comes back from its code bit for bit: six-decimal values, as
+pretrained files carry them, do. At the first block that does not, the
 matrix becomes float64. Every value the model computes with is the float64
 the file's text names either way.
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 import os
 import stat
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
@@ -66,47 +66,22 @@ class CharVocab:
 
 
 class WordLexicon:
-    """word -> frozen pretrained vector, all of one dimension and finite.
+    """word -> frozen pretrained vector, all of one dimension and finite, as
+    `load_word_vectors` reads them from a file, its one maker.
 
-    The vectors are the rows of one read-only (words x dim) matrix of
-    float64 values, row i for words[i], and `get` returns a read-only row.
-    The lexicon keeps `matrix` itself, not a copy, and marks it read-only.
-    (`load_word_vectors` may store the rows as float32 codes of their
-    values instead; `get` and `vectors` return the float64 values alike.)
+    The vectors are the rows of one read-only (words x dim) matrix, row
+    rows[w] for word w, the words in first-occurrence order. The matrix
+    stores float32 codes of the values (`_to_code`) or the float64 values
+    themselves; `get` (a read-only row) and `vectors` return the float64
+    values either way.
     """
 
-    def __init__(self, words: Sequence[str], matrix: np.ndarray):
-        self._keep(words, np.asarray(matrix, dtype=np.float64))
-
-    @classmethod
-    def _of_storage(cls, words: Sequence[str], stored: np.ndarray) -> "WordLexicon":
-        """The lexicon over a loader's matrix: float64 values, or float32
-        codes that stand for them (`_to_code`)."""
-        lexicon = cls.__new__(cls)
-        lexicon._keep(words, stored)
-        return lexicon
-
-    def _keep(self, words: Sequence[str], matrix: np.ndarray) -> None:
-        if not words:
-            raise ValueError("lexicon is empty")
-        if "" in words:
-            raise ValueError("empty-string key")
-        if matrix.ndim != 2 or 0 in matrix.shape:
-            raise ValueError(
-                f"the matrix must be a non-empty 2-D array, got shape {matrix.shape}")
-        if matrix.shape[0] != len(words):
-            raise ValueError(f"{len(words)} words but {matrix.shape[0]} matrix rows")
-        self._row = {w: i for i, w in enumerate(words)}
-        if len(self._row) != len(words):
-            dupes = sorted(w for w, count in Counter(words).items() if count > 1)
-            raise ValueError(f"duplicate words: {dupes}")
-        if not np.isfinite(matrix).all():
-            bad = int(np.argmin(np.isfinite(matrix).all(axis=1)))
-            raise ValueError(f"non-finite component in the vector of {words[bad]!r}")
-        matrix.flags.writeable = False
-        self._matrix = matrix
-        self.dim = matrix.shape[1]
-        self.max_word_len = max(map(len, words))
+    def __init__(self, rows: dict[str, int], stored: np.ndarray):
+        stored.flags.writeable = False
+        self._row = rows
+        self._matrix = stored
+        self.dim = stored.shape[1]
+        self.max_word_len = max(map(len, rows))
 
     def __len__(self) -> int:
         return len(self._row)
@@ -144,7 +119,8 @@ def load_word_vectors(path) -> WordLexicon:
     finiteness or row count is wrong, is read again one line at a time with
     `float`, which names the first bad line or accepts the block: `float`
     also reads forms `np.loadtxt` rejects, such as "1_0" and non-ASCII
-    digits.
+    digits. Either way the block's words take their rows in one word -> row
+    dict, the lexicon's own, and its values come as one float64 array.
 
     Each accepted block is written straight into the lexicon's matrix, so a
     load holds one float32 code matrix plus one float64 block. The matrix
@@ -153,12 +129,11 @@ def load_word_vectors(path) -> WordLexicon:
     can hold. So `path` must name a regular file; anything else (a pipe, a
     device, a directory) raises ValueError before it is opened.
 
-    The matrix stores float32 codes (`_to_code`) while every block, or on
-    the line-at-a-time path every line, comes back from its code bit for
-    bit. At the first that does not, the rows stored so far are decoded
-    into a float64 `mapped_zeros` matrix, and the load goes on in float64:
-    a file of other values costs a float64 matrix, plus the float32 one
-    until the switch.
+    The matrix stores float32 codes (`_to_code`) while every block comes
+    back from its code bit for bit. At the first that does not, the rows
+    stored so far are decoded into a float64 `mapped_zeros` matrix, and the
+    load goes on in float64: a file of other values costs a float64 matrix,
+    plus the float32 one until the switch.
     """
     info = os.stat(path)
     if not stat.S_ISREG(info.st_mode):
@@ -178,14 +153,9 @@ def load_word_vectors(path) -> WordLexicon:
         rows_seen = 0
         while block := list(islice(lines, BLOCK_LINES)):
             lineno = block[-1][0]
-            parsed = _parse_block(block, count - rows_seen, dim)
-            if parsed is None:
-                rows_seen, matrix = _read_lines(block, rows_seen, count, dim, rows,
-                                                matrix)
-                continue
-            numbered_words, values = parsed
             start = len(rows)
-            targets = [_row_of(rows, word, n) for n, word in numbered_words]
+            targets, values = (_parse_block(block, count - rows_seen, dim, rows)
+                               or _parse_lines(block, rows_seen, count, dim, rows))
             matrix, values = _stored(matrix, values, len(rows))
             if len(rows) - start == len(targets):  # all new: the next rows
                 matrix[start : len(rows)] = values
@@ -196,9 +166,7 @@ def load_word_vectors(path) -> WordLexicon:
     if rows_seen < count:
         raise WordVectorParseError(
             f"line {lineno}: file ends after {rows_seen} of {count} rows")
-    words = list(rows)
-    del rows  # freed before the lexicon builds its own word -> row dict
-    return WordLexicon._of_storage(words, matrix[: len(words)])
+    return WordLexicon(rows, matrix[: len(rows)])
 
 
 def _lines(fh) -> Iterator[bytes]:
@@ -218,12 +186,12 @@ def _decode(lineno: int, raw: bytes) -> str:
         raise WordVectorParseError(f"line {lineno}: not UTF-8 text ({e})") from None
 
 
-def _parse_block(block: list[tuple[int, bytes]], room: int,
-                 dim: int) -> Optional[tuple[list[tuple[int, str]], np.ndarray]]:
-    """The block's (line number, word) pairs and its (rows, dim) values from
-    one `np.loadtxt` call; None for a block of blank lines, undecodable bytes,
-    a word alone, more than `room` rows, a value `np.loadtxt` rejects, a
-    wrong shape or a non-finite value."""
+def _parse_block(block: list[tuple[int, bytes]], room: int, dim: int,
+                 rows: dict[str, int]) -> Optional[tuple[list[int], np.ndarray]]:
+    """The block's words' matrix rows (`_row_of`) and its (rows, dim) values
+    from one `np.loadtxt` call; None, with `rows` left as it was, for a block
+    of blank lines, undecodable bytes, a word alone, more than `room` rows, a
+    value `np.loadtxt` rejects, a wrong shape or a non-finite value."""
     numbered_words, rests = [], []
     for lineno, raw in block:
         try:
@@ -243,15 +211,16 @@ def _parse_block(block: list[tuple[int, bytes]], room: int,
         return None
     if values.shape != (len(rests), dim) or not np.isfinite(values).all():
         return None
-    return numbered_words, values
+    return [_row_of(rows, word, lineno) for lineno, word in numbered_words], values
 
 
-def _read_lines(block: list[tuple[int, bytes]], rows_seen: int, count: int,
-                dim: int, rows: dict[str, int],
-                matrix: np.ndarray) -> tuple[int, np.ndarray]:
-    """Write a block of (line number, line) into `matrix` one line at a time,
-    raising for the first bad line; return the rows seen so far and the
-    matrix now in use (`_stored`)."""
+def _parse_lines(block: list[tuple[int, bytes]], rows_seen: int, count: int,
+                 dim: int, rows: dict[str, int]) -> tuple[list[int], np.ndarray]:
+    """`_parse_block`'s result for a block of (line number, line), read one
+    line at a time with `float`, raising for the first bad line. Each word
+    takes its row (`_row_of`) before the next line is read, so a duplicate
+    warns before a later line raises."""
+    targets, vecs = [], []
     for lineno, raw in block:
         line = _decode(lineno, raw)
         if not line.strip():
@@ -272,19 +241,18 @@ def _read_lines(block: list[tuple[int, bytes]], rows_seen: int, count: int,
                 f"line {lineno}: non-numeric vector component") from None
         if not np.isfinite(vec).all():
             raise WordVectorParseError(f"line {lineno}: non-finite vector component")
-        row = _row_of(rows, parts[0], lineno)
-        matrix, vec = _stored(matrix, vec, len(rows))
-        matrix[row] = vec
-    return rows_seen, matrix
+        targets.append(_row_of(rows, parts[0], lineno))
+        vecs.append(vec)
+    return targets, np.array(vecs, dtype=np.float64).reshape(len(vecs), dim)
 
 
 def _stored(matrix: np.ndarray, values: np.ndarray,
             used: int) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix to store `values` in, and the values as it stores them:
-    their float32 code while `matrix` holds codes and every value comes back
-    from it; else the float64 values, in a float64 `mapped_zeros` matrix
-    made at the first miss, which takes the values of `matrix`'s first
-    `used` rows."""
+    """The matrix to store a block's `values` in, and the values as it
+    stores them: their float32 code while `matrix` holds codes and every
+    value of the block comes back from it; else the float64 values, in a
+    float64 `mapped_zeros` matrix made at the first miss, which takes the
+    values of `matrix`'s first `used` rows."""
     if matrix.dtype == np.float64:
         return matrix, values
     code = _to_code(values)

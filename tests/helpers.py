@@ -1,10 +1,11 @@
 """Shared test utilities: the named tensors of a parameter dataclass; the
 finite-difference gradient oracle, the one harness that checks a backward
-against it, and the complex-step directional derivative; a word lexicon from
-a dict; straight-line numpy references for the word-vector loader, every
-one-node kernel (the mixed embedding, one encoder direction, attention and
-the decoder) and the RMSprop step; and the tag names of the documented id
-layout, an independent reference tag decoder and a random sentence maker.
+against it, and the complex-step directional derivative; a word lexicon
+loaded from a vector file written from a dict; straight-line numpy
+references for the word-vector loader, every one-node kernel (the mixed
+embedding, one encoder direction, attention and the decoder) and the RMSprop
+step; and the tag names of the documented id layout, an independent
+reference tag decoder and a random sentence maker.
 
 No reference calls the library code it checks. The kernel references read
 their parameters as plain arrays, a dict of dotted name -> array (`arrays`),
@@ -15,13 +16,15 @@ complex value back to float raises ComplexWarning rather than report a zero
 slope."""
 
 import dataclasses
+import tempfile
 import warnings
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from tripletag import numerics as nm
-from tripletag.embedding import WordLexicon, WordVectorParseError
+from tripletag.embedding import WordLexicon, WordVectorParseError, load_word_vectors
 from tripletag.numerics import Tensor
 from tripletag.tagging import HEAD, TAIL, Triple
 
@@ -134,9 +137,16 @@ def reference_gru_sequence(E, p):
 
 
 def lexicon_of(vectors: dict) -> WordLexicon:
-    """The lexicon of a word -> vector dict, its rows in the dict's order."""
-    return WordLexicon(list(vectors), np.stack(
-        [np.asarray(v, dtype=np.float64) for v in vectors.values()]))
+    """The lexicon `load_word_vectors` reads from a vector file of a word ->
+    vector dict, its rows in the dict's order. Each value is written by
+    `repr`, which `float` reads back to the same bits."""
+    dim = len(next(iter(vectors.values())))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vec.txt"
+        path.write_text(f"{len(vectors)} {dim}\n" + "".join(
+            word + "".join(f" {float(x)!r}" for x in vec) + "\n"
+            for word, vec in vectors.items()), encoding="utf-8")
+        return load_word_vectors(path)
 
 
 def reference_load_word_vectors(path) -> dict:
