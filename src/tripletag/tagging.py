@@ -54,6 +54,8 @@ class TagScheme:
     relations: tuple[str, ...]
 
     def __post_init__(self):
+        # a tuple keeps the scheme hashable and its relations fixed
+        object.__setattr__(self, "relations", tuple(self.relations))
         if not self.relations:
             raise ValueError("relation list is empty")
         dupes = sorted(r for r, count in Counter(self.relations).items() if count > 1)
@@ -92,7 +94,7 @@ class TagScheme:
 
 
 def build_scheme(relations: Sequence[str]) -> TagScheme:
-    return TagScheme(tuple(relations))
+    return TagScheme(relations)
 
 
 def encode_tags(n: int, triples: Sequence[Triple], scheme: TagScheme) -> list[int]:

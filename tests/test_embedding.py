@@ -102,18 +102,6 @@ class TestLoadWordVectors:
             lx = load_word_vectors(p)
         np.testing.assert_array_equal(lx.get("w"), [2, 2])
 
-    def test_generated_file_round_trips_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        words = [f"w{i}" for i in range(50)]
-        vals = {w: rng.uniform(-1, 1, 4) for w in words}
-        lines = ["50 4"] + [
-            w + " " + " ".join(repr(float(x)) for x in vals[w]) for w in words]
-        p = tmp_path / "vec.txt"
-        p.write_text("\n".join(lines) + "\n")
-        lx = load_word_vectors(p)
-        for w in words:
-            np.testing.assert_array_equal(lx.get(w), vals[w])
-
     def test_vectors_are_frozen(self, tmp_path):
         p = tmp_path / "vec.txt"
         for value in ("2", "0.1234567890123"):  # float32 and float64 storage
@@ -507,13 +495,6 @@ class TestMixEmbed:
         np.testing.assert_allclose(comps[1], comps[2], atol=1e-15)
         expected = np.asarray([0.5, -0.5]) @ p.projection.data
         np.testing.assert_allclose(comps[0], expected, atol=1e-15)
-
-    def test_row_count_equals_char_count(self):
-        vocab = CharVocab("abcdef")
-        lx = lexicon_of({"ab": [1.0], "cde": [2.0]})
-        p = self.make(vocab, 1, 3)
-        for text in ("a", "abc", "abcdef", "zzz"):
-            assert mix_embed(text, vocab, lx, p).shape == (len(text), 3)
 
     def test_gradients_reach_table_and_projection_not_lexicon(self):
         vocab = CharVocab("xy")

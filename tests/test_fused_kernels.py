@@ -2,11 +2,13 @@
 decoder) against the straight-line references of tests/helpers.py: the
 values directly, and every input's and parameter's gradient against the
 oracle, the complex-step derivative of the reference along a random
-direction. Also the graph size and the gradient gate the kernels rely on."""
+direction. Each kernel is compared with its reference here; the per-layer
+files hold hand cases, invariants, input checks and finite differences. Also
+the graph size and the gradient gate the kernels rely on."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -111,6 +113,7 @@ def test_mix_embed_matches_reference_and_oracle(text, words, m, d_w, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 12), m=dims, d=dims, seed=st.integers(0, 2**32 - 1))
+@example(n=1, m=3, d=2, seed=0)  # a single step each way, on every run
 def test_encode_matches_reference_and_oracle(n, m, d, seed):
     check_encode(np.random.default_rng(seed), n, m, d)
 
@@ -118,12 +121,14 @@ def test_encode_matches_reference_and_oracle(n, m, d, seed):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 12), d_v=dims, d_dec=dims, tau=st.integers(1, 4),
        k=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+@example(n=1, d_v=3, d_dec=2, tau=2, k=4, seed=0)  # a single step, on every run
 def test_decode_sequence_matches_reference_and_oracle(n, d_v, d_dec, tau, k, seed):
     check_decode_sequence(np.random.default_rng(seed), n, d_v, d_dec, tau, k)
 
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 12), d=dims, seed=st.integers(0, 2**32 - 1))
+@example(n=1, d=3, seed=0)  # a single row, on every run
 def test_attend_matches_oracle(n, d, seed):
     check_attend(np.random.default_rng(seed), n, d)
 
