@@ -7,16 +7,16 @@ sum of the two, so the word lexicon and its projection are required. Words
 come from a plain-text vector file and are never updated; characters outside
 the vocabulary map to the reserved UNK id 0.
 
-`load_word_vectors`, the one maker of a `WordLexicon`, parses the file in
-blocks, by one `np.loadtxt` call or else line by line, and writes each block
-straight into the rows of the lexicon's one matrix, a `numerics.mapped_zeros`
-array, so a load peaks at one matrix plus one block, not at two copies of
-the lexicon, and rows it never writes take no memory. The matrix holds each
-value as a float32 code, half the bytes of a float64, as long as every
-block read comes back from its code bit for bit: six-decimal values, as
-pretrained files carry them, do. At the first block that does not, the
-matrix becomes float64. Every value the model computes with is the float64
-the file's text names either way.
+`load_word_vectors`, the one maker of a `WordLexicon`, reads the file in
+text mode and parses its lines in blocks, by one `np.loadtxt` call or else
+line by line. It writes each block straight into the rows of the lexicon's
+one matrix, a `numerics.mapped_zeros` array, so a load peaks at one matrix
+plus one block, not at two copies of the lexicon, and rows it never writes
+take no memory. The matrix holds each value as a float32 code, half the
+bytes of a float64, as long as every block read comes back from its code
+bit for bit: six-decimal values, as pretrained files carry them, do. At the
+first block that does not, the matrix becomes float64. Every value the
+model computes with is the float64 the file's text names either way.
 
 `mix_embed` is one autodiff node: a gather of character-table rows plus one
 matmul with the projection, whose backward touches the gathered rows only.
@@ -29,7 +29,7 @@ import stat
 import warnings
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -72,8 +72,8 @@ class WordLexicon:
     The vectors are the rows of one read-only (words x dim) matrix, row
     rows[w] for word w, the words in first-occurrence order. The matrix
     stores float32 codes of the values (`_to_code`) or the float64 values
-    themselves; `get` (a read-only row) and `vectors` return the float64
-    values either way.
+    themselves; `vectors`, the one read, returns the float64 values either
+    way.
     """
 
     def __init__(self, rows: dict[str, int], stored: np.ndarray):
@@ -89,30 +89,21 @@ class WordLexicon:
     def __contains__(self, word: str) -> bool:
         return word in self._row
 
-    def get(self, word: str) -> Optional[np.ndarray]:
-        row = self._row.get(word)
-        if row is None:
-            return None
-        vec = self._values(self._matrix[row])
-        vec.flags.writeable = False
-        return vec
-
     def vectors(self, words: Sequence[str]) -> np.ndarray:
         """The (len(words), dim) float64 vectors of `words`, each in the
-        lexicon, gathered and decoded at once."""
-        return self._values(self._matrix[[self._row[w] for w in words]])
-
-    def _values(self, stored: np.ndarray) -> np.ndarray:
+        lexicon, gathered and decoded at once into a new array."""
+        stored = self._matrix[[self._row[w] for w in words]]
         return stored if stored.dtype == np.float64 else _from_code(stored)
 
 
 def load_word_vectors(path) -> WordLexicon:
     """Read the classic text vector format: "<count> <dim>" header, then one
-    line per word ("word v1 .. v_dim"), in UTF-8 with an optional BOM; fields
-    are separated by any whitespace `str.split` splits at. Duplicates keep the
-    row of the first occurrence and the values of the last. Any malformed
-    line, undecodable bytes included, raises WordVectorParseError naming the
-    first bad line.
+    line per word ("word v1 .. v_dim"), in UTF-8 with an optional BOM; lines
+    end where text mode ends them, at "\n", "\r\n" or a lone "\r", and
+    fields are separated by any whitespace `str.split` splits at. Duplicates
+    keep the row of the first occurrence and the values of the last. Any
+    malformed line, a byte that is not UTF-8 included, raises
+    WordVectorParseError naming the first bad line.
 
     The body is read in blocks of BLOCK_LINES lines, and one `np.loadtxt`
     call parses a block's values. A block it rejects, or whose shape,
@@ -139,11 +130,11 @@ def load_word_vectors(path) -> WordLexicon:
     if not stat.S_ISREG(info.st_mode):
         raise ValueError(f"{path}: not a regular file, so its size cannot "
                          "bound the lexicon")
-    with open(path, "rb") as fh:
-        lines = enumerate(_lines(fh), start=1)
-        lineno, header = next(lines, (1, b""))
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = enumerate(fh, start=1)
+        lineno, header = next(lines, (1, ""))
         count, dim = _parse_header(
-            _decode(lineno, header).removeprefix("\ufeff").rstrip("\r\n"))
+            _check_text(lineno, header).removeprefix("\ufeff").rstrip("\n"))
         # a row is at least a word and dim values, each one byte, with a
         # separator before each value, so the file's size bounds the rows
         # however large the header's count or dim
@@ -169,35 +160,27 @@ def load_word_vectors(path) -> WordLexicon:
     return WordLexicon(rows, matrix[: len(rows)])
 
 
-def _lines(fh) -> Iterator[bytes]:
-    """The lines of a binary file, ends kept, split where text mode splits
-    them: at "\n", "\r\n" and a lone "\r"."""
-    for raw in fh:
-        if b"\r" in raw:
-            yield from raw.splitlines(keepends=True)
-        else:
-            yield raw
-
-
-def _decode(lineno: int, raw: bytes) -> str:
+def _check_text(lineno: int, line: str) -> str:
+    """`line`, unless it holds a lone surrogate, which the loader's text mode
+    leaves for a byte that is not UTF-8: then WordVectorParseError with the
+    UnicodeDecodeError of the line's bytes."""
     try:
-        return raw.decode("utf-8")
+        line.encode(errors="surrogateescape").decode()
     except UnicodeDecodeError as e:
         raise WordVectorParseError(f"line {lineno}: not UTF-8 text ({e})") from None
+    return line
 
 
-def _parse_block(block: list[tuple[int, bytes]], room: int, dim: int,
+def _parse_block(block: list[tuple[int, str]], room: int, dim: int,
                  rows: dict[str, int]) -> Optional[tuple[list[int], np.ndarray]]:
     """The block's words' matrix rows (`_row_of`) and its (rows, dim) values
     from one `np.loadtxt` call; None, with `rows` left as it was, for a block
-    of blank lines, undecodable bytes, a word alone, more than `room` rows, a
-    value `np.loadtxt` rejects, a wrong shape or a non-finite value."""
+    of blank lines, a word alone or holding a byte that is not UTF-8, more
+    than `room` rows, a value `np.loadtxt` rejects (a byte that is not UTF-8
+    in a value among them), a wrong shape or a non-finite value."""
     numbered_words, rests = [], []
-    for lineno, raw in block:
-        try:
-            parts = raw.decode("utf-8").split(None, 1)
-        except UnicodeDecodeError:
-            return None
+    for lineno, line in block:
+        parts = line.split(None, 1)
         if len(parts) == 1:
             return None
         if parts:
@@ -206,6 +189,9 @@ def _parse_block(block: list[tuple[int, bytes]], room: int, dim: int,
     if not rests or len(rests) > room:
         return None
     try:
+        # a lone surrogate fails to encode in a word, as in a value it fails
+        # np.loadtxt, with a ValueError either way
+        "".join(word for _, word in numbered_words).encode()
         values = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
@@ -214,16 +200,15 @@ def _parse_block(block: list[tuple[int, bytes]], room: int, dim: int,
     return [_row_of(rows, word, lineno) for lineno, word in numbered_words], values
 
 
-def _parse_lines(block: list[tuple[int, bytes]], rows_seen: int, count: int,
+def _parse_lines(block: list[tuple[int, str]], rows_seen: int, count: int,
                  dim: int, rows: dict[str, int]) -> tuple[list[int], np.ndarray]:
-    """`_parse_block`'s result for a block of (line number, line), read one
-    line at a time with `float`, raising for the first bad line. Each word
-    takes its row (`_row_of`) before the next line is read, so a duplicate
-    warns before a later line raises."""
+    """`_parse_block`'s result for a block of (line number, text-mode line),
+    read one line at a time with `float`, raising for the first bad line.
+    Each word takes its row (`_row_of`) before the next line is read, so a
+    duplicate warns before a later line raises."""
     targets, vecs = [], []
-    for lineno, raw in block:
-        line = _decode(lineno, raw)
-        if not line.strip():
+    for lineno, line in block:
+        if not _check_text(lineno, line).strip():
             continue
         rows_seen += 1
         if rows_seen > count:

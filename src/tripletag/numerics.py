@@ -167,12 +167,16 @@ def softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into .grad of every leaf root depends on.
 
-    root must be a single-element tensor. A leaf's gradient adds onto its
-    buffer, so running twice doubles it. An op output's gradient lives for
-    one pass: it is taken off the node before the node's closure runs.
+    root must be one finite element, else DimensionError (a shape) or
+    ValueError (nan or inf) before any closure runs. A leaf's gradient adds
+    onto its buffer, so running twice doubles it. An op output's gradient
+    lives for one pass: it is taken off the node before the node's closure
+    runs.
     """
     if root.data.size != 1:
         raise DimensionError(f"backward: root must be scalar, got shape {root.shape}")
+    if not math.isfinite(root.data.item()):
+        raise ValueError(f"backward: root is not finite ({root.data.item()})")
 
     # iterative topological sort (graphs easily exceed the recursion limit)
     order: list[Tensor] = []

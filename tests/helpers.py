@@ -151,13 +151,14 @@ def lexicon_of(vectors: dict) -> WordLexicon:
 
 def reference_load_word_vectors(path) -> dict:
     """The vector-file loader as one straight loop: text-mode UTF-8, one line
-    and one `float` per value at a time, each row checked as it is read.
+    and one `float` per value at a time, each row checked as it is read; one
+    leading BOM is dropped from the header.
     Returns word -> vector, in first-occurrence order with the last
     occurrence's values; warns for each duplicate and raises
     WordVectorParseError for the first bad line."""
     vectors = {}
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n")
+        header = fh.readline().removeprefix("\ufeff").rstrip("\r\n")
         if not header.strip():
             raise WordVectorParseError("line 1: missing '<count> <dim>' header")
         fields = header.split()

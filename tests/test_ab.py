@@ -92,6 +92,17 @@ def test_checkout_paths_must_have_the_same_length(parent, change, ok):
     assert (problem is None) == ok
 
 
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_fewer_than_one_pair_is_refused_before_anything_runs(monkeypatch, capsys, pairs):
+    def run(args, **kwargs):
+        pytest.fail("a benchmark process was started")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    # neither checkout exists, so reading a BENCHMARK.json would raise
+    assert ab.main(["/a/parent", "/a/change", "--pairs", pairs, "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "ab: --pairs must be at least 1\n"
+
+
 @pytest.mark.parametrize("returncode, stdout, problem", [
     (0, "", "printed no JSON result"),
     (0, "# infer_mixed seed=1\nTraceback (most recent call last)\n", "printed no JSON result"),

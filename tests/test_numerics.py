@@ -112,6 +112,16 @@ class TestBackward:
         with pytest.raises(nm.DimensionError):
             nm.backward(nm.mul(x, x))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_root_rejected_before_any_gradient(self, value):
+        x = Tensor([[value, 1.0]], requires_grad=True)
+        w = Tensor([[2.0, 3.0]], requires_grad=True)
+        with pytest.raises(ValueError, match=rf"^backward: root is not finite \({value}\)$"):
+            nm.backward(nm.sum_all(nm.mul(x, w)))
+        np.testing.assert_array_equal(x.grad, 0.0)
+        np.testing.assert_array_equal(w.grad, 0.0)
+
     def test_mul_shape_mismatch_rejected(self):
         with pytest.raises(nm.DimensionError, match=r"\(2, 2\) vs \(3, 2\)"):
             nm.mul(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))))

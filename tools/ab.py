@@ -127,6 +127,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seconds", type=float)
     ap.add_argument("--seed", type=int, required=True, help="the first pair's seed")
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        print("ab: --pairs must be at least 1", file=sys.stderr)
+        return 2
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     problem = path_problem(*checkouts.values())
     if problem:

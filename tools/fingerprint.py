@@ -52,8 +52,8 @@ def episode(run, name: str, seed: int) -> dict[str, str]:
         corpus.write_word_vectors(vectors, seed, words, w.dims.word_dim)
         model = pipeline.build_model(vectors, corpus.alphabet(w.vocab_size), relations,
                                      w.dims, run.INIT_SEED, run.LEARNING_RATE)
-    lexicon = digest_text(item for word in words for item in (
-        word, *(float(v).hex() for v in model.lexicon.get(word))))
+    lexicon = digest_text(item for word, vec in zip(words, model.lexicon.vectors(words))
+                          for item in (word, *(float(v).hex() for v in vec)))
     if w.kind == "predict":
         probs = (v for text, _ in sents
                  for v in pipeline.predict(model, text)[1].data.ravel())
