@@ -52,11 +52,14 @@ class WordVectorParseError(ValueError):
 
 
 class CharVocab:
-    """char -> dense id map with id 0 reserved for unknown characters."""
+    """char -> dense id map with id 0 reserved for unknown characters; an
+    entry that is not exactly one character raises ValueError."""
 
     def __init__(self, chars: Iterable[str]):
         self._id = {UNK: 0}
         for c in chars:
+            if len(c) != 1:
+                raise ValueError(f"CharVocab: entry {c!r} is not one character")
             if c not in self._id:
                 self._id[c] = len(self._id)
 

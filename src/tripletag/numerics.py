@@ -81,9 +81,6 @@ class Tensor:
         if self.grad is not None:  # an op output's, between passes
             self.grad[:] = 0.0
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
 
 def result(data: np.ndarray, parents: Sequence[Tensor],
            backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -167,14 +164,16 @@ def softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into .grad of every leaf root depends on.
 
-    root must be one finite element, else DimensionError (a shape) or
-    ValueError (nan or inf) before any closure runs. A leaf's gradient adds
-    onto its buffer, so running twice doubles it. An op output's gradient
-    lives for one pass: it is taken off the node before the node's closure
-    runs.
+    root must be one finite element that requires a gradient, else
+    DimensionError (a shape) or ValueError (no gradient, nan or inf) before
+    any closure runs. A leaf's gradient adds onto its buffer, so running
+    twice doubles it. An op output's gradient lives for one pass: it is
+    taken off the node before the node's closure runs.
     """
     if root.data.size != 1:
         raise DimensionError(f"backward: root must be scalar, got shape {root.shape}")
+    if not root.requires_grad:
+        raise ValueError("backward: root does not require grad")
     if not math.isfinite(root.data.item()):
         raise ValueError(f"backward: root is not finite ({root.data.item()})")
 

@@ -182,38 +182,3 @@ def decode_triples(tags: Sequence[int], text: str,
                               relation=relation))
     out.sort(key=lambda t: (t.head_span, t.tail_span, t.relation))
     return out
-
-
-@dataclass(frozen=True)
-class ExtractionScore:
-    precision: float
-    recall: float
-    f1: float
-    n_predicted: int
-    n_gold: int
-    n_correct: int
-
-
-def score(predicted: Sequence[Sequence[Triple]],
-          gold: Sequence[Sequence[Triple]]) -> ExtractionScore:
-    """Exact-match precision/recall/F1 over aligned sentence lists.
-
-    A prediction counts iff head span, tail span, and relation all equal an
-    as-yet-unmatched gold triple of the same sentence.
-    """
-    if len(predicted) != len(gold):
-        raise ValueError(
-            f"sentence count mismatch: {len(predicted)} predicted vs "
-            f"{len(gold)} gold")
-    n_pred = n_gold = n_correct = 0
-    for p_sent, g_sent in zip(predicted, gold):
-        p_keys = Counter(t.key() for t in p_sent)
-        g_keys = Counter(t.key() for t in g_sent)
-        n_pred += len(p_sent)
-        n_gold += len(g_sent)
-        n_correct += sum((p_keys & g_keys).values())
-    precision = n_correct / n_pred if n_pred else 0.0
-    recall = n_correct / n_gold if n_gold else 0.0
-    f1 = (2 * precision * recall / (precision + recall)
-          if precision + recall > 0 else 0.0)
-    return ExtractionScore(precision, recall, f1, n_pred, n_gold, n_correct)

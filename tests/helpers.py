@@ -4,8 +4,8 @@ against it, and the complex-step directional derivative; a word lexicon
 loaded from a vector file written from a dict; straight-line numpy
 references for the word-vector loader, every one-node kernel (the mixed
 embedding, one encoder direction, attention and the decoder) and the RMSprop
-step; and the tag names of the documented id layout, an independent
-reference tag decoder and a random sentence maker.
+step; the tag names of the documented id layout, an independent reference
+tag decoder, a random sentence maker and the exact-match triple F1 scorer.
 
 No reference calls the library code it checks. The kernel references read
 their parameters as plain arrays, a dict of dotted name -> array (`arrays`),
@@ -18,6 +18,7 @@ slope."""
 import dataclasses
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 from typing import Callable
 
@@ -356,3 +357,21 @@ def random_valid_sentence(rng: np.random.Generator, relations,
                               tail=text[t[0]:t[1]], tail_span=t,
                               relation=relations[int(rels[i])]))
     return text, triples
+
+
+def f1(predicted, gold) -> float:
+    """Exact-match triple F1 over aligned lists of sentences' triples:
+    2·correct / (predicted + gold), 0.0 when both counts are 0. A prediction
+    is correct when its (head_span, tail_span, relation) equals a gold triple
+    of the same sentence that no other prediction has matched. Raises
+    ValueError when the two lists hold different sentence counts."""
+    if len(predicted) != len(gold):
+        raise ValueError(f"sentence count mismatch: {len(predicted)} predicted vs "
+                         f"{len(gold)} gold")
+
+    def keys(triples):
+        return Counter((t.head_span, t.tail_span, t.relation) for t in triples)
+
+    correct = sum(sum((keys(p) & keys(g)).values()) for p, g in zip(predicted, gold))
+    total = sum(map(len, predicted)) + sum(map(len, gold))
+    return 2 * correct / total if total else 0.0

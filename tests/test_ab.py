@@ -1,6 +1,7 @@
-"""tools/ab.py's summary of paired benchmark runs, on canned results: no
-benchmark process is started."""
+"""tools/ab.py's summary of paired benchmark runs, on canned results, and its
+refusals of bad arguments: no benchmark process is started."""
 
+import json
 import subprocess
 from pathlib import Path
 
@@ -101,6 +102,25 @@ def test_fewer_than_one_pair_is_refused_before_anything_runs(monkeypatch, capsys
     # neither checkout exists, so reading a BENCHMARK.json would raise
     assert ab.main(["/a/parent", "/a/change", "--pairs", pairs, "--seed", "1"]) == 2
     assert capsys.readouterr().err == "ab: --pairs must be at least 1\n"
+
+
+def test_an_undeclared_workload_is_refused_before_anything_runs(monkeypatch, capsys, tmp_path):
+    def run(args, **kwargs):
+        pytest.fail("a benchmark process was started")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    spec = {"command": ["python3", "perfbench/run.py"], "run_seconds": 25,
+            "workloads": [{"name": "infer_mixed"}, {"name": "train_short"}],
+            "end_to_end": []}
+    parent, change = tmp_path.resolve() / "parent", tmp_path.resolve() / "change"
+    for checkout in (parent, change):  # paths of the same length
+        checkout.mkdir()
+        (checkout / "BENCHMARK.json").write_text(json.dumps(spec))
+    argv = [str(parent), str(change), "--workloads", "infer_mixed", "train_shrot",
+            "--seed", "1"]
+    assert ab.main(argv) == 2
+    assert capsys.readouterr().err == (f"ab: train_shrot not among the workloads of "
+                                       f"{parent / 'BENCHMARK.json'}: infer_mixed, train_short\n")
 
 
 @pytest.mark.parametrize("returncode, stdout, problem", [

@@ -29,6 +29,11 @@ class TestCharVocab:
         assert v.id_of("?") == 0
         assert sorted(v.id_of(c) for c in "北京大学") == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("entry", ["北京", ""], ids=["two-chars", "empty"])
+    def test_an_entry_that_is_not_one_character_is_rejected(self, entry):
+        with pytest.raises(ValueError, match=rf"^CharVocab: entry {entry!r} is not one character$"):
+            CharVocab(["北", entry, "a"])
+
 
 def vector(lexicon, word) -> np.ndarray:
     """`word`'s vector, through the lexicon's one read."""
@@ -312,6 +317,12 @@ class TestLoaderMatchesReference:
     @given(vector_files())
     # the line path warns for a duplicate before a later line raises
     @example((b"2 2\na 0.0 0.0\na 0.0 0.0\na 0.0 0.0\na 0.0 0.0", 3))
+    # branches that otherwise only a random draw takes: a word alone and a
+    # blank line, each in a block the line path reads; a block read after the
+    # switch to float64
+    @example((b"2 2\na 1 2\nb\n", 2))
+    @example((b"2 2\na 1 2\n\nb x 4\n", 3))
+    @example((b"2 1\na 0.12345678901234\nb 1\n", 1))
     def test_generated_files(self, file_and_block):
         data, block = file_and_block
         with tempfile.TemporaryDirectory() as tmp:
@@ -338,8 +349,10 @@ class TestLoaderMatchesReference:
         ("0 3", "non-positive count/dim '0 3'"),
         ("2 -1", "non-positive count/dim '2 -1'"),
         ("2\r", "expected '<count> <dim>', got '2'"),  # the quote ends before "\r\n"
+        ("", "missing '<count> <dim>' header"),
+        ("  \t ", "missing '<count> <dim>' header"),
     ], ids=["one-field", "three-fields", "word-count", "fractional-dim", "zero-count",
-            "negative-dim", "one-field-crlf"])
+            "negative-dim", "one-field-crlf", "blank", "whitespace"])
     def test_a_bad_header(self, tmp_path, header, message):
         path = tmp_path / "vec.txt"
         path.write_text(header + "\na 1 2\n")

@@ -112,6 +112,13 @@ class TestBackward:
         with pytest.raises(nm.DimensionError):
             nm.backward(nm.mul(x, x))
 
+    def test_a_root_without_a_gradient_is_rejected(self):
+        # a constant leaf, and an op of constants, which joins no graph
+        for root in (Tensor([[2.0]]), nm.sum_all(nm.mul(Tensor([[2.0]]), Tensor([[3.0]])))):
+            with pytest.raises(ValueError, match="^backward: root does not require grad$"):
+                nm.backward(root)
+            assert root.grad is None
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_root_rejected_before_any_gradient(self, value):

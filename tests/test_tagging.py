@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_valid_sentence, reference_decode, tag_name
+from helpers import f1, random_valid_sentence, reference_decode, tag_name
 from tripletag import tagging
 from tripletag.tagging import (
-    TagEncodeError, Triple, build_scheme, decode_triples, encode_tags, score)
+    TagEncodeError, Triple, build_scheme, decode_triples, encode_tags)
 
 
 class TestScheme:
@@ -208,14 +208,15 @@ def test_decode_accepts_arbitrary_sequences(tags):
 
 
 class TestScore:
+    """The exact-match triple F1 of `helpers.f1`, which the learning test
+    reads."""
+
     def g(self, *keys):
         return [Triple("h", k[0], "t", k[1], k[2]) for k in keys]
 
     def test_perfect(self):
         gold = [self.g(((0, 1), (2, 3), "r"))] * 10
-        s = score(gold, gold)
-        assert s.precision == s.recall == s.f1 == 1.0
-        assert s.n_correct == 10
+        assert f1(gold, gold) == 1.0
 
     def test_definitional_arithmetic(self):
         gold = [self.g(((0, 1), (2, 3), "r"), ((4, 5), (6, 7), "r"),
@@ -223,41 +224,21 @@ class TestScore:
                        ((8, 9), (10, 11), "r"))]
         pred = [self.g(((0, 1), (2, 3), "r"), ((4, 5), (6, 7), "r"),
                        ((9, 10), (2, 3), "s"), ((4, 5), (9, 10), "s"))]
-        s = score(pred, gold)
-        assert s.precision == 0.5
-        assert s.recall == 0.4
-        assert abs(s.f1 - 4 / 9) < 1e-12
+        assert f1(pred, gold) == 2 * 2 / (4 + 5)  # precision 1/2, recall 2/5
 
     def test_empty_denominators(self):
-        s = score([[]], [[]])
-        assert (s.precision, s.recall, s.f1) == (0.0, 0.0, 0.0)
+        assert f1([[]], [[]]) == 0.0
+        assert f1([self.g(((0, 1), (2, 3), "r"))], [[]]) == 0.0
 
     def test_each_gold_matchable_once(self):
         gold = [self.g(((0, 1), (2, 3), "r"))]
         pred = [self.g(((0, 1), (2, 3), "r"), ((0, 1), (2, 3), "r"))]
-        assert score(pred, gold).n_correct == 1
+        assert f1(pred, gold) == 2 / 3  # one correct of two predicted, one gold
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            score([[]], [[], []])
+        with pytest.raises(ValueError, match="^sentence count mismatch: 1 predicted vs 2 gold$"):
+            f1([[]], [[], []])
 
     def test_permutation_symmetric(self):
         a = self.g(((0, 1), (2, 3), "r"), ((4, 5), (6, 7), "s"))
-        pred = [list(reversed(a))]
-        assert score(pred, [a]) == score([a], [a])
-
-    def test_f1_identity_holds(self):
-        rng = np.random.default_rng(11)
-        relations = ["r1", "r2"]
-        scheme = build_scheme(relations)
-        for _ in range(50):
-            text, gold = random_valid_sentence(rng, relations)
-            tags = rng.integers(0, scheme.k, size=len(text)).tolist()
-            pred = decode_triples(tags, text, scheme)
-            s = score([pred], [gold])
-            if s.precision + s.recall > 0:
-                expected = (2 * s.precision * s.recall
-                            / (s.precision + s.recall))
-                assert abs(s.f1 - expected) < 1e-15
-            else:
-                assert s.f1 == 0.0
+        assert f1([list(reversed(a))], [a]) == f1([a], [a]) == 1.0

@@ -24,7 +24,9 @@ metric:
 The two checkouts' absolute paths must have the same length. The path's
 length moves the process's memory layout, and with it the timings by a few
 per cent on identical code. `--workloads` defaults to every workload and
-`--seconds` to `run_seconds`, both from the parent's BENCHMARK.json.
+`--seconds` to `run_seconds`, both from the parent's BENCHMARK.json. A
+workload that file does not declare, like too few pairs, exits with 2 before
+any benchmark process starts.
 """
 
 from __future__ import annotations
@@ -137,7 +139,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
     declared = {m["name"]: m for m in spec["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    names = [w["name"] for w in spec["workloads"]]
+    workloads = args.workloads or names
+    unknown = [w for w in workloads if w not in names]
+    if unknown:
+        print(f"ab: {', '.join(unknown)} not among the workloads of "
+              f"{checkouts['parent'] / 'BENCHMARK.json'}: {', '.join(names)}", file=sys.stderr)
+        return 2
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     try:
         for workload in workloads:
